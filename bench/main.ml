@@ -65,8 +65,55 @@ let run_bechamel () =
              (Pdb_util.Murmur3.trailing_ones
                 (Pdb_util.Murmur3.hash32 "some-user-key-0042"))))
   in
+  (* the simulated IO path, layer by layer *)
+  let kb = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+  let crc =
+    Test.make ~name:"crc32c 1KB"
+      (Staged.stage (fun () -> ignore (Pdb_util.Crc32c.string kb)))
+  in
+  let env = Pdb_simio.Env.create () in
+  let block4k = String.make 4096 'b' in
+  let env_append_read =
+    Test.make ~name:"env append+read 4KB"
+      (Staged.stage (fun () ->
+           let w = Pdb_simio.Env.create_file env "bench" in
+           Pdb_simio.Env.append w block4k;
+           ignore
+             (Pdb_simio.Env.read env "bench" ~pos:0 ~len:4096
+                ~hint:Pdb_simio.Device.Random_read)))
+  in
+  let ik i =
+    Pdb_kvs.Internal_key.encode
+      ~user_key:(Printf.sprintf "user%012d" i)
+      ~seq:i ~kind:Pdb_kvs.Internal_key.Value
+  in
+  let ik_a = ik 4242 and ik_b = ik 4243 in
+  let ikey_compare =
+    Test.make ~name:"internal_key.compare"
+      (Staged.stage (fun () ->
+           ignore (Pdb_kvs.Internal_key.compare ik_a ik_b)))
+  in
+  let block =
+    let b = Pdb_sstable.Block.Builder.create () in
+    for i = 0 to 63 do
+      Pdb_sstable.Block.Builder.add b (ik (i * 2)) (String.make 48 'v')
+    done;
+    Pdb_sstable.Block.Builder.finish b
+  in
+  let target = ik 71 in
+  let block_seek =
+    Test.make ~name:"block.seek (decode+iter)"
+      (Staged.stage (fun () ->
+           let it =
+             Pdb_sstable.Block.iterator ~compare:Pdb_kvs.Internal_key.compare
+               (Pdb_sstable.Block.decode block)
+           in
+           it.Pdb_kvs.Iter.seek target;
+           ignore (it.Pdb_kvs.Iter.value ())))
+  in
   let tests =
-    [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur ]
+    [ memtable_insert; bloom_check; skiplist_seek; guard_search; murmur; crc;
+      env_append_read; ikey_compare; block_seek ]
   in
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in

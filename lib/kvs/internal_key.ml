@@ -48,17 +48,54 @@ let kind ikey =
   let packed = Pdb_util.Varint.get_fixed64 ikey (n - trailer_size) in
   kind_of_int (Int64.to_int (Int64.logand packed 0xffL))
 
+(* Byte order over [a.[i..n-1]] and [b.[i..n-1]]: the sign of the first
+   difference, 0 when equal. *)
+let rec compare_bytes a b i n =
+  if i >= n then 0
+  else
+    let c =
+      Char.code (String.unsafe_get a i) - Char.code (String.unsafe_get b i)
+    in
+    if c <> 0 then c else compare_bytes a b (i + 1) n
+
+(* The same, eight bytes at a time: big-endian words with the sign bit
+   flipped compare as unsigned. *)
+let rec compare_prefix a b i n =
+  if i + 8 > n then compare_bytes a b i n
+  else
+    let wa = Int64.logxor (String.get_int64_be a i) Int64.min_int
+    and wb = Int64.logxor (String.get_int64_be b i) Int64.min_int in
+    if wa = wb then compare_prefix a b (i + 8) n
+    else if wa < wb then -1
+    else 1
+
+(* The 56-bit sequence number stored little-endian above the kind byte of
+   the trailer at [off]. *)
+let trailer_seq s off =
+  String.get_uint16_le s (off + 1)
+  lor (String.get_uint16_le s (off + 3) lsl 16)
+  lor (String.get_uint16_le s (off + 5) lsl 32)
+  lor (Char.code (String.unsafe_get s (off + 7)) lsl 48)
+
 (** Total order over encoded internal keys: user key ascending, sequence
     descending, kind descending — so the freshest entry for a user key sorts
-    first. *)
+    first.  Compares both keys in place, without allocating. *)
 let compare a b =
-  let ua = user_key a and ub = user_key b in
-  let c = String.compare ua ub in
-  if c <> 0 then c
+  let na = String.length a - trailer_size
+  and nb = String.length b - trailer_size in
+  assert (na >= 0 && nb >= 0);
+  let c = compare_prefix a b 0 (if na < nb then na else nb) in
+  if c < 0 then -1
+  else if c > 0 then 1
+  else if na <> nb then Int.compare na nb
   else
-    let c = Int.compare (seq b) (seq a) in
+    let c = Int.compare (trailer_seq b nb) (trailer_seq a na) in
     if c <> 0 then c
-    else Int.compare (kind_to_int (kind b)) (kind_to_int (kind a))
+    else
+      (* kinds only matter between equal sequence numbers *)
+      Int.compare
+        (kind_to_int (kind_of_int (Char.code b.[nb])))
+        (kind_to_int (kind_of_int (Char.code a.[na])))
 
 (** [max_for_lookup user_key] is the internal key that sorts before every
     stored version of [user_key]: seeking to it lands on the freshest

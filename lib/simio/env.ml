@@ -63,14 +63,153 @@ module Fault_plan = struct
   let torn_files t = t.torn_files
 end
 
+(* A file is a sequence of extents, each a slice of an immutable string,
+   with its start offset alongside so a read finds its first extent by
+   binary search.  [append] stores the appended string itself as the next
+   extent, so a read of exactly that range returns it with no copy.  No
+   string is ever mutated: crash truncation drops or shortens extents,
+   and positioned writes and torn-tail garbling replace the bytes they
+   cover with a new extent, keeping the uncovered parts of the extents
+   around it as slices of the same strings.  Invariants: [starts.(0) = 0],
+   every extent is non-empty, and extent [i + 1] starts where extent [i]
+   ends, so the last one ends at [len]. *)
 type file = {
-  mutable data : Bytes.t;
+  mutable starts : int array;
+  mutable exts : string array;
+  mutable offs : int array;  (** where in [exts.(i)] extent [i] begins *)
+  mutable n : int;  (** extents in use *)
   mutable len : int;
   mutable synced : int;
   mutable ever_synced : bool;
       (* distinct from [synced = 0]: a file synced while empty is durable
          as an empty file, a never-synced file vanishes at a crash *)
 }
+
+let new_file ~ever_synced =
+  { starts = [||]; exts = [||]; offs = [||]; n = 0; len = 0; synced = 0;
+    ever_synced }
+
+let extent_len f i =
+  (if i + 1 < f.n then f.starts.(i + 1) else f.len) - f.starts.(i)
+
+(* Make room for [k] more extents. *)
+let reserve f k =
+  if f.n + k > Array.length f.exts then begin
+    let cap = max 8 (max (f.n + k) (2 * f.n)) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 f.n;
+      b
+    in
+    f.starts <- grow f.starts 0;
+    f.exts <- grow f.exts "";
+    f.offs <- grow f.offs 0
+  end
+
+(* Append [s] as one extent; [s] must be non-empty. *)
+let push f s =
+  reserve f 1;
+  f.starts.(f.n) <- f.len;
+  f.exts.(f.n) <- s;
+  f.offs.(f.n) <- 0;
+  f.n <- f.n + 1;
+  f.len <- f.len + String.length s
+
+(* Index of the extent holding byte [pos], for [0 <= pos < f.len]. *)
+let extent_at f pos =
+  let lo = ref 0 and hi = ref (f.n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if f.starts.(mid) <= pos then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* Bytes [pos, pos + len) of [f], already bounds-checked.  A range that is
+   exactly one whole appended string is returned without a copy. *)
+let contents f ~pos ~len =
+  if len = 0 then ""
+  else begin
+    let i = extent_at f pos in
+    let e = f.exts.(i) in
+    if pos = f.starts.(i) && f.offs.(i) = 0 && String.length e = len
+       && extent_len f i = len
+    then e
+    else begin
+      let b = Bytes.create len in
+      let i = ref i and skip = ref (pos - f.starts.(i)) and dst = ref 0 in
+      while !dst < len do
+        let n = min (extent_len f !i - !skip) (len - !dst) in
+        Bytes.blit_string f.exts.(!i) (f.offs.(!i) + !skip) b !dst n;
+        incr i;
+        skip := 0;
+        dst := !dst + n
+      done;
+      Bytes.unsafe_to_string b
+    end
+  end
+
+(* Drop everything from byte [n] on ([n <= f.len]). *)
+let truncate f n =
+  if n < f.len then begin
+    let keep = if n = 0 then 0 else extent_at f (n - 1) + 1 in
+    Array.fill f.exts keep (f.n - keep) "";
+    f.n <- keep;
+    f.len <- n
+  end
+
+(* Replace bytes [pos, pos + String.length s) with [s] ([pos <= f.len]),
+   extending the file when the range runs past its end.  The extents the
+   range touches give way to [s], the uncovered head of the first and tail
+   of the last kept as slices of their strings.  Adding an extent mid-file
+   shifts every later one, so when the head and tail together are no
+   longer than [s] they are copied into one new extent with it instead:
+   a page store rewriting its slots keeps a steady extent count, and no
+   write copies more than twice its own length. *)
+let splice f ~pos s =
+  let m = String.length s in
+  if m = 0 then ()
+  else if pos = f.len then push f s
+  else begin
+    let stop = pos + m in
+    let i = extent_at f pos in
+    let j = if stop >= f.len then f.n - 1 else extent_at f (stop - 1) in
+    let head = pos - f.starts.(i) in
+    let tail = max 0 (f.starts.(j) + extent_len f j - stop) in
+    let tail_ext = f.exts.(j)
+    and tail_off = f.offs.(j) + extent_len f j - tail in
+    let rest = f.n - j - 1 in
+    let pieces = (if head > 0 then 1 else 0) + 1 + if tail > 0 then 1 else 0 in
+    let start, s, head, tail =
+      if pieces > j - i + 1 && rest > 0 && head + tail <= m then begin
+        let b = Bytes.create (head + m + tail) in
+        Bytes.blit_string f.exts.(i) f.offs.(i) b 0 head;
+        Bytes.blit_string s 0 b head m;
+        Bytes.blit_string tail_ext tail_off b (head + m) tail;
+        (f.starts.(i), Bytes.unsafe_to_string b, 0, 0)
+      end
+      else (pos, s, head, tail)
+    in
+    (* extents [i, j] become: head slice, [s], tail slice *)
+    let k = if head > 0 then i + 1 else i in
+    let delta = (k - i) + 1 + (if tail > 0 then 1 else 0) - (j - i + 1) in
+    if delta <> 0 then begin
+      reserve f delta;
+      Array.blit f.starts (j + 1) f.starts (j + 1 + delta) rest;
+      Array.blit f.exts (j + 1) f.exts (j + 1 + delta) rest;
+      Array.blit f.offs (j + 1) f.offs (j + 1 + delta) rest;
+      if delta < 0 then Array.fill f.exts (f.n + delta) (-delta) "";
+      f.n <- f.n + delta
+    end;
+    f.starts.(k) <- start;
+    f.exts.(k) <- s;
+    f.offs.(k) <- 0;
+    if tail > 0 then begin
+      f.starts.(k + 1) <- stop;
+      f.exts.(k + 1) <- tail_ext;
+      f.offs.(k + 1) <- tail_off
+    end;
+    f.len <- max f.len stop
+  end
 
 type t = {
   files : (string, file) Hashtbl.t;
@@ -167,32 +306,29 @@ let create_file t name =
     | Some f -> f.ever_synced
     | None -> false
   in
-  let file = { data = Bytes.create 4096; len = 0; synced = 0; ever_synced } in
+  let file = new_file ~ever_synced in
   Hashtbl.replace t.files name file;
   t.stats.files_created <- t.stats.files_created + 1;
   tick t ("create:" ^ name);
   { env = t; name; file }
 
-(** [append w s] appends [s]; charges sequential write cost. *)
+(** [append w s] appends [s] as one extent, without copying it; charges
+    sequential write cost. *)
 let append w s =
   let n = String.length s in
   if n > 0 then begin
-    let f = w.file in
-    let cap = Bytes.length f.data in
-    if f.len + n > cap then begin
-      let newcap = max (f.len + n) (2 * cap) in
-      let bigger = Bytes.create newcap in
-      Bytes.blit f.data 0 bigger 0 f.len;
-      f.data <- bigger
-    end;
-    Bytes.blit_string s 0 f.data f.len n;
-    f.len <- f.len + n;
+    push w.file s;
     let st = w.env.stats in
     st.bytes_written <- st.bytes_written + n;
     st.write_ops <- st.write_ops + 1;
     Clock.advance w.env.clock (Device.write_cost w.env.device ~bytes:n);
     tick w.env ("append:" ^ w.name)
   end
+
+(** [append_buffer w buf] appends the contents of [buf] — one copy, into
+    the new extent — so a writer can reuse one buffer across appends. *)
+let append_buffer w buf =
+  if Buffer.length buf > 0 then append w (Buffer.contents buf)
 
 (** [sync w] makes the file contents durable. *)
 let sync w =
@@ -214,29 +350,20 @@ let writer_size w = w.file.len
     (page stores are assumed to carry their own journaling; see
     DESIGN.md). *)
 let write_at t name ~pos s =
+  if pos < 0 then
+    invalid_arg (Printf.sprintf "Env.write_at %s: negative position" name);
   let f =
     match Hashtbl.find_opt t.files name with
     | Some f -> f
     | None ->
-      let f =
-        { data = Bytes.create 4096; len = 0; synced = 0; ever_synced = false }
-      in
+      let f = new_file ~ever_synced:false in
       Hashtbl.replace t.files name f;
       t.stats.files_created <- t.stats.files_created + 1;
       f
   in
   let n = String.length s in
-  let needed = pos + n in
-  let cap = Bytes.length f.data in
-  if needed > cap then begin
-    let bigger = Bytes.create (max needed (2 * cap)) in
-    Bytes.blit f.data 0 bigger 0 f.len;
-    Bytes.fill bigger f.len (max needed (2 * cap) - f.len) '\000';
-    f.data <- bigger
-  end;
-  if pos > f.len then Bytes.fill f.data f.len (pos - f.len) '\000';
-  Bytes.blit_string s 0 f.data pos n;
-  f.len <- max f.len needed;
+  if pos > f.len then push f (String.make (pos - f.len) '\000');
+  splice f ~pos s;
   f.synced <- f.len;
   f.ever_synced <- true;
   t.stats.bytes_written <- t.stats.bytes_written + n;
@@ -261,7 +388,7 @@ let peek t name ~pos ~len =
     invalid_arg
       (Printf.sprintf "Env.peek %s: [%d,%d) out of bounds (size %d)" name pos
          (pos + len) f.len);
-  Bytes.sub_string f.data pos len
+  contents f ~pos ~len
 
 (** [io_event t label] registers an external IO event (e.g. a replication
     ship) with the fault-injection plan, so crash sweeps land between and
@@ -280,7 +407,7 @@ let read t name ~pos ~len ~hint =
   t.stats.bytes_read <- t.stats.bytes_read + len;
   t.stats.read_ops <- t.stats.read_ops + 1;
   Clock.advance t.clock (Device.read_cost t.device ~hint ~bytes:len);
-  Bytes.sub_string f.data pos len
+  contents f ~pos ~len
 
 let read_all t name ~hint =
   let f = find t name in
@@ -314,17 +441,20 @@ let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
 let total_file_bytes t =
   Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
 
-(* Flip a handful of random bits in [data[lo, hi)] — the garbage a torn
-   page leaves behind. *)
-let garble rng data lo hi =
+(* Flip a handful of random bits in bytes [lo, hi) of [f] — the garbage a
+   torn page leaves behind.  The garbled range becomes a fresh extent, so
+   strings handed out by earlier reads keep their contents. *)
+let garble rng f lo hi =
   let n = hi - lo in
   if n > 0 then begin
+    let data = Bytes.of_string (contents f ~pos:lo ~len:n) in
     let flips = 1 + Pdb_util.Rng.int rng (min 8 n) in
     for _ = 1 to flips do
-      let i = lo + Pdb_util.Rng.int rng n in
+      let i = Pdb_util.Rng.int rng n in
       let bit = 1 lsl Pdb_util.Rng.int rng 8 in
       Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor bit))
-    done
+    done;
+    splice f ~pos:lo (Bytes.unsafe_to_string data)
   end
 
 (** [crash t] simulates a power failure: every file loses its unsynced
@@ -363,13 +493,13 @@ let crash t =
            let nblocks = (unsynced + block - 1) / block in
            let keep_blocks = Pdb_util.Rng.int p.Fault_plan.rng (nblocks + 1) in
            let keep = min unsynced (keep_blocks * block) in
-           f.len <- base + keep;
+           truncate f (base + keep);
            if keep > 0 then begin
              p.Fault_plan.torn_files <- p.Fault_plan.torn_files + 1;
              if Pdb_util.Rng.float p.Fault_plan.rng < p.Fault_plan.garbage_tail_prob
-             then garble p.Fault_plan.rng f.data (max base (f.len - block)) f.len
+             then garble p.Fault_plan.rng f (max base (f.len - block)) f.len
            end
-         | _ -> f.len <- base);
+         | _ -> truncate f base);
         (* post-reboot, whatever persisted is by definition durable *)
         f.synced <- f.len;
         f.ever_synced <- true

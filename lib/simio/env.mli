@@ -19,7 +19,14 @@
     subsequent IO event raise {!Injected_crash}, and to model torn writes
     at the following {!crash} — each file's unsynced suffix persists only
     up to a block-granular prefix, possibly with a garbled tail.  See the
-    "Crash & durability model" section of DESIGN.md. *)
+    "Crash & durability model" section of DESIGN.md.
+
+    Storage: a file is a sequence of extents, slices of immutable strings.
+    An appended string becomes one extent as it is, never copied; a
+    {!read} or {!peek} of exactly that range returns the string itself.
+    Returned strings are shared with the file and are immutable: crash
+    truncation, torn-tail garbling and {!write_at} replace or shorten
+    extents and never edit a string already handed out. *)
 
 (** Raised at an armed fault-plan injection point, out of whatever store
     code performed the IO.  The environment is left exactly as the crash
@@ -98,8 +105,15 @@ val with_atomic : t -> (unit -> 'a) -> 'a
     brand-new name stays volatile until the first sync. *)
 val create_file : t -> string -> writer
 
-(** [append w s] appends [s]; charges sequential write cost. *)
+(** [append w s] appends [s]; charges sequential write cost.  [s] itself
+    becomes the file's next extent — it is not copied. *)
 val append : writer -> string -> unit
+
+(** [append_buffer w buf] appends the current contents of [buf], exactly
+    like [append w (Buffer.contents buf)]: one device write, one fault
+    tick, and the one copy out of [buf] becomes the new extent.  [buf] is
+    left unchanged, so a writer can clear and reuse it. *)
+val append_buffer : writer -> Buffer.t -> unit
 
 (** [sync w] makes the file contents crash-durable; charges fsync cost. *)
 val sync : writer -> unit
@@ -108,7 +122,8 @@ val close : writer -> unit
 val writer_size : writer -> int
 
 (** [write_at t name ~pos s] overwrites bytes at [pos], extending the file
-    with zeroes as needed; charges random-write cost. *)
+    with zeroes as needed; charges random-write cost.
+    @raise Invalid_argument when [pos] is negative. *)
 val write_at : t -> string -> pos:int -> string -> unit
 
 val exists : t -> string -> bool
@@ -117,7 +132,10 @@ val exists : t -> string -> bool
 val file_size : t -> string -> int
 
 (** [read t name ~pos ~len ~hint] reads a range, charging device cost per
-    the read [hint].
+    the read [hint].  A range that is exactly one appended extent (for
+    example an sstable block read back by its handle) is returned without
+    a copy; any other range is copied out.  The result is shared and must
+    not be mutated.
     @raise Invalid_argument on an out-of-bounds range.
     @raise Sys_error when the file does not exist. *)
 val read : t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string
@@ -125,7 +143,8 @@ val read : t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string
 (** [peek t name ~pos ~len] reads a range without charging device time or
     IO stats — the sendfile-style path replication uses to put freshly
     written (page-cache-resident) bytes on the wire; the {!Network} link
-    charges the transfer instead.
+    charges the transfer instead.  Like {!read}, a range that is exactly
+    one extent is returned without a copy.
     @raise Invalid_argument on an out-of-bounds range.
     @raise Sys_error when the file does not exist. *)
 val peek : t -> string -> pos:int -> len:int -> string

@@ -57,12 +57,17 @@ module Builder = struct
 
   let is_empty t = t.entries = 0
 
-  (** [finish t] returns the serialised block. *)
-  let finish t =
+  (** [finish_buffer t] appends the restart array to the builder's own
+      buffer and returns that buffer, which holds the serialised block
+      until the next {!reset}. *)
+  let finish_buffer t =
     let restarts = List.rev t.restarts in
     List.iter (fun off -> Pdb_util.Varint.put_fixed32 t.buf off) restarts;
     Pdb_util.Varint.put_fixed32 t.buf t.num_restarts;
-    Buffer.contents t.buf
+    t.buf
+
+  (** [finish t] returns the serialised block. *)
+  let finish t = Buffer.contents (finish_buffer t)
 
   let reset t =
     Buffer.clear t.buf;
@@ -93,75 +98,122 @@ let size_bytes t = String.length t.data
 let restart_point t i =
   Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
 
-(* Decode the entry at [pos]; returns (key, value, next_pos).  [prev_key]
-   supplies the shared prefix. *)
-let decode_entry t ~prev_key pos =
-  let shared, pos = Pdb_util.Varint.get_uvarint t.data pos in
-  let non_shared, pos = Pdb_util.Varint.get_uvarint t.data pos in
-  let value_len, pos = Pdb_util.Varint.get_uvarint t.data pos in
-  let key = String.sub prev_key 0 shared ^ String.sub t.data pos non_shared in
-  let pos = pos + non_shared in
-  let value = String.sub t.data pos value_len in
-  (key, value, pos + value_len)
+(* The iterator's position: the current entry's key, where its value
+   lies, and the offset of the entry after it.  [cursor] is the varint
+   decoder's read position. *)
+type state = {
+  mutable valid : bool;
+  mutable key : string;
+  mutable vpos : int;
+  mutable vlen : int;
+  mutable value : string option;  (** [vpos, vlen) once [value ()] ran *)
+  mutable next_pos : int;
+  mutable cursor : int;
+}
+
+let corrupt () = invalid_arg "Block.iterator: corrupt entry"
+
+(* Read a varint at [st.cursor], which must stay inside the entry area. *)
+let varint t st =
+  let rec go shift acc =
+    if st.cursor >= t.restarts_offset || shift > 56 then corrupt ()
+    else begin
+      let b = Char.code (String.unsafe_get t.data st.cursor) in
+      st.cursor <- st.cursor + 1;
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b < 0x80 then acc else go (shift + 7) acc
+    end
+  in
+  go 0 0
+
+(* Decode the entry at [pos] into [st]: the key takes one allocation (its
+   shared prefix comes from [prev_key]); the value is only located.  An
+   entry whose key or value runs past the entry area raises. *)
+let decode_entry t st ~prev_key pos =
+  st.cursor <- pos;
+  let shared = varint t st in
+  let non_shared = varint t st in
+  let value_len = varint t st in
+  let kpos = st.cursor in
+  let vpos = kpos + non_shared in
+  if shared > String.length prev_key
+     || non_shared > t.restarts_offset - kpos
+     || value_len > t.restarts_offset - vpos
+  then corrupt ();
+  st.key <-
+    (if shared = 0 then String.sub t.data kpos non_shared
+     else begin
+       let k = Bytes.create (shared + non_shared) in
+       Bytes.blit_string prev_key 0 k 0 shared;
+       Bytes.blit_string t.data kpos k shared non_shared;
+       Bytes.unsafe_to_string k
+     end);
+  st.vpos <- vpos;
+  st.vlen <- value_len;
+  st.value <- None;
+  st.valid <- true;
+  st.next_pos <- vpos + value_len
 
 (** [iterator ~compare t] walks the block's entries.  [compare] orders the
     stored keys (internal-key order for data blocks). *)
 let iterator ~compare t =
-  (* [cur] is the current entry; [next_pos] the offset of the entry after
-     it.  The first entry after a restart point has shared = 0, so decoding
+  (* The first entry after a restart point has shared = 0, so decoding
      with the running previous key is always correct. *)
-  let cur = ref None in
-  let next_pos = ref t.restarts_offset in
+  let st =
+    { valid = false; key = ""; vpos = 0; vlen = 0; value = None;
+      next_pos = t.restarts_offset; cursor = 0 }
+  in
   let advance () =
-    if !next_pos >= t.restarts_offset then cur := None
-    else begin
-      let prev_key = match !cur with Some (k, _) -> k | None -> "" in
-      let k, v, next = decode_entry t ~prev_key !next_pos in
-      cur := Some (k, v);
-      next_pos := next
-    end
+    if st.next_pos >= t.restarts_offset then st.valid <- false
+    else
+      decode_entry t st ~prev_key:(if st.valid then st.key else "")
+        st.next_pos
   in
   let seek_to_restart i =
-    next_pos := restart_point t i;
-    cur := None;
+    st.next_pos <- restart_point t i;
+    st.valid <- false;
     advance ()
   in
   let seek_to_first () =
-    if t.num_restarts = 0 then cur := None else seek_to_restart 0
+    if t.num_restarts = 0 then st.valid <- false else seek_to_restart 0
   in
   let seek target =
-    if t.num_restarts = 0 then cur := None
+    if t.num_restarts = 0 then st.valid <- false
     else begin
       (* last restart whose first key is < target *)
       let lo = ref 0 and hi = ref (t.num_restarts - 1) in
       while !lo < !hi do
         let mid = (!lo + !hi + 1) / 2 in
-        let k, _, _ = decode_entry t ~prev_key:"" (restart_point t mid) in
-        if compare k target < 0 then lo := mid else hi := mid - 1
+        decode_entry t st ~prev_key:"" (restart_point t mid);
+        if compare st.key target < 0 then lo := mid else hi := mid - 1
       done;
       seek_to_restart !lo;
-      let rec scan () =
-        match !cur with
-        | Some (k, _) when compare k target < 0 ->
-          advance ();
-          scan ()
-        | Some _ | None -> ()
-      in
-      scan ()
+      while st.valid && compare st.key target < 0 do
+        advance ()
+      done
     end
   in
-  let entry () =
-    match !cur with
-    | Some e -> e
-    | None -> invalid_arg "Block.iterator: iterator is not valid"
+  let check_valid () =
+    if not st.valid then invalid_arg "Block.iterator: iterator is not valid"
   in
   {
     Pdb_kvs.Iter.seek_to_first;
     seek;
-    next = (fun () -> if Option.is_some !cur then advance ());
-    valid = (fun () -> Option.is_some !cur);
-    key = (fun () -> fst (entry ()));
-    value = (fun () -> snd (entry ()));
+    next = (fun () -> if st.valid then advance ());
+    valid = (fun () -> st.valid);
+    key =
+      (fun () ->
+        check_valid ();
+        st.key);
+    value =
+      (fun () ->
+        check_valid ();
+        match st.value with
+        | Some v -> v
+        | None ->
+          let v = String.sub t.data st.vpos st.vlen in
+          st.value <- Some v;
+          v);
   }
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)

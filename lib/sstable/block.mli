@@ -23,6 +23,10 @@ module Builder : sig
   (** [finish t] returns the serialised block. *)
   val finish : t -> string
 
+  (** [finish_buffer t] serialises the block into the builder's own buffer
+      and returns it — no copy; the contents stay valid until {!reset}. *)
+  val finish_buffer : t -> Buffer.t
+
   val reset : t -> unit
 end
 
@@ -35,7 +39,12 @@ val decode : string -> t
 val size_bytes : t -> int
 
 (** [iterator ~compare t] walks the block's entries; [compare] orders the
-    stored keys (internal-key order for data blocks). *)
+    stored keys (internal-key order for data blocks).  Each entry's key is
+    built with one allocation; its value is copied out only when [value]
+    is called.
+    @raise Invalid_argument from [seek_to_first], [seek] or [next] on an
+    entry whose key or value runs past the block's entry area, and from
+    [key]/[value] when the iterator is not valid. *)
 val iterator : compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)

@@ -10,7 +10,7 @@ type t = (string, Block.t) Pdb_util.Lru.t
 
 let create ~capacity : t = Pdb_util.Lru.create ~capacity
 
-let key_string (k : key) = Printf.sprintf "%s:%d" k.file k.offset
+let key_string (k : key) = String.concat ":" [ k.file; string_of_int k.offset ]
 
 (** [find_or_load t env ~file ~offset ~size ~hint] returns the decoded
     block, reading it from the environment (and charging device time) only
@@ -31,13 +31,9 @@ let find_or_load (t : t) env ~file ~offset ~size ~hint =
     mirroring [Table_cache.evict]. *)
 let evict_file (t : t) ~file =
   let prefix = file ^ ":" in
-  let plen = String.length prefix in
   let doomed =
     Pdb_util.Lru.fold t
-      (fun acc k _ ->
-        if String.length k >= plen && String.sub k 0 plen = prefix then
-          k :: acc
-        else acc)
+      (fun acc k _ -> if String.starts_with ~prefix k then k :: acc else acc)
       []
   in
   List.iter (Pdb_util.Lru.remove t) doomed

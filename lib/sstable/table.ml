@@ -40,7 +40,13 @@ type meta = {
   largest : string;
 }
 
-let file_name ~dir number = Printf.sprintf "%s/%06d.sst" dir number
+(** [file_name ~dir number] is [dir/NNNNNN.sst], the number zero-padded to
+    six digits. *)
+let file_name ~dir number =
+  let digits = string_of_int number in
+  let pad = 6 - String.length digits in
+  let digits = if pad > 0 then String.make pad '0' ^ digits else digits in
+  String.concat "" [ dir; "/"; digits; ".sst" ]
 
 module Builder = struct
   type t = {
@@ -57,8 +63,9 @@ module Builder = struct
     mutable smallest : string option;
     mutable largest : string;
     mutable entries : int;
-    mutable last_user_key : string option;
+    mutable last_user_key : string;  (** meaningful once [entries > 0] *)
     mutable last_prefix : string option;
+    scratch : Buffer.t;  (** index handles and the footer *)
   }
 
   (** [create env ~dir ~number ~block_bytes ~bloom ~expected_keys] starts a
@@ -87,15 +94,21 @@ module Builder = struct
       smallest = None;
       largest = "";
       entries = 0;
-      last_user_key = None;
+      last_user_key = "";
       last_prefix = None;
+      scratch = Buffer.create footer_size;
     }
 
+  (* Append [buf] as one extent, so a read by the returned handle gets it
+     back without a copy. *)
+  let write_buffer t buf =
+    Pdb_simio.Env.append_buffer t.writer buf;
+    let h = { offset = t.offset; size = Buffer.length buf } in
+    t.offset <- t.offset + Buffer.length buf;
+    h
+
   let write_block t builder =
-    let raw = Block.Builder.finish builder in
-    Pdb_simio.Env.append t.writer raw;
-    let h = { offset = t.offset; size = String.length raw } in
-    t.offset <- t.offset + String.length raw;
+    let h = write_buffer t (Block.Builder.finish_buffer builder) in
     Block.Builder.reset builder;
     h
 
@@ -111,26 +124,31 @@ module Builder = struct
   let add t ikey value =
     if t.smallest = None then t.smallest <- Some ikey;
     t.largest <- ikey;
-    t.entries <- t.entries + 1;
     (match t.filter with
      | Some f ->
        (* one filter probe key per distinct user key *)
        let uk = Pdb_kvs.Internal_key.user_key ikey in
-       if t.last_user_key <> Some uk then begin
+       if t.entries = 0 || not (String.equal t.last_user_key uk) then begin
          Pdb_bloom.Bloom.add f uk;
-         t.last_user_key <- Some uk;
+         t.last_user_key <- uk;
          (* keys arrive sorted, so consecutive dedupe covers all repeats
             of a prefix *)
          if t.prefix_bloom_len > 0 && String.length uk >= t.prefix_bloom_len
          then begin
            let p = String.sub uk 0 t.prefix_bloom_len in
-           if t.last_prefix <> Some p then begin
+           let seen =
+             match t.last_prefix with
+             | Some last -> String.equal last p
+             | None -> false
+           in
+           if not seen then begin
              Pdb_bloom.Bloom.add f (prefix_tag ^ p);
              t.last_prefix <- Some p
            end
          end
        end
      | None -> ());
+    t.entries <- t.entries + 1;
     Block.Builder.add t.data ikey value;
     if Block.Builder.current_size_estimate t.data >= t.block_bytes then
       flush_data_block t
@@ -166,13 +184,14 @@ module Builder = struct
       let index_builder = Block.Builder.create () in
       List.iter
         (fun (last_key, h) ->
-          let buf = Buffer.create 10 in
-          encode_handle buf h;
-          Block.Builder.add index_builder last_key (Buffer.contents buf))
+          Buffer.clear t.scratch;
+          encode_handle t.scratch h;
+          Block.Builder.add index_builder last_key (Buffer.contents t.scratch))
         (List.rev !(t.index));
       let index_handle = write_block t index_builder in
       (* footer *)
-      let buf = Buffer.create footer_size in
+      let buf = t.scratch in
+      Buffer.clear buf;
       Pdb_util.Varint.put_fixed32 buf filter_handle.offset;
       Pdb_util.Varint.put_fixed32 buf filter_handle.size;
       Pdb_util.Varint.put_fixed32 buf index_handle.offset;
@@ -180,8 +199,7 @@ module Builder = struct
       Pdb_util.Varint.put_fixed32 buf t.entries;
       Pdb_util.Varint.put_fixed32 buf magic;
       Pdb_util.Varint.put_fixed32 buf t.prefix_bloom_len;
-      Pdb_simio.Env.append t.writer (Buffer.contents buf);
-      t.offset <- t.offset + footer_size;
+      ignore (write_buffer t buf);
       Pdb_simio.Env.sync t.writer;
       Pdb_simio.Env.close t.writer;
       match t.smallest with

@@ -14,6 +14,14 @@ type record_type = Full | First | Middle | Last
 
 let type_to_int = function Full -> 1 | First -> 2 | Middle -> 3 | Last -> 4
 
+(* The type byte of each record type as a one-byte string, the first input
+   of the record's CRC. *)
+let type_byte = function
+  | Full -> "\001"
+  | First -> "\002"
+  | Middle -> "\003"
+  | Last -> "\004"
+
 let type_of_int = function
   | 1 -> Some Full
   | 2 -> Some First
@@ -21,32 +29,36 @@ let type_of_int = function
   | 4 -> Some Last
   | _ -> None
 
+(** [record_crc data pos rtype len] is the masked CRC a record header
+    stores: over the type byte, then the fragment [data.[pos .. pos+len-1]]. *)
+let record_crc data pos rtype len =
+  let crc = Pdb_util.Crc32c.update 0 (type_byte rtype) 0 1 in
+  Pdb_util.Crc32c.masked (Pdb_util.Crc32c.update crc data pos len)
+
+let zero_pad = String.make header_size '\000'
+
 module Writer = struct
   type t = {
     writer : Pdb_simio.Env.writer;
     mutable block_offset : int;
+    buf : Buffer.t;  (** framing scratch, reused by every append *)
   }
 
-  let create env name =
-    { writer = Pdb_simio.Env.create_file env name; block_offset = 0 }
-
   let of_writer writer ~existing_bytes =
-    { writer; block_offset = existing_bytes mod block_size }
+    { writer; block_offset = existing_bytes mod block_size;
+      buf = Buffer.create 4096 }
 
-  let emit t buf rtype fragment =
-    let body =
-      let b = Buffer.create (1 + String.length fragment) in
-      Buffer.add_char b (Char.chr (type_to_int rtype));
-      Buffer.add_string b fragment;
-      Buffer.contents b
-    in
-    let crc = Pdb_util.Crc32c.masked (Pdb_util.Crc32c.string body) in
-    Pdb_util.Varint.put_fixed32 buf crc;
-    Buffer.add_char buf (Char.chr (String.length fragment land 0xff));
-    Buffer.add_char buf (Char.chr ((String.length fragment lsr 8) land 0xff));
+  let create env name =
+    of_writer (Pdb_simio.Env.create_file env name) ~existing_bytes:0
+
+  (* Frame the fragment [payload.[pos .. pos+len-1]] into [buf]. *)
+  let emit t buf rtype payload pos len =
+    Pdb_util.Varint.put_fixed32 buf (record_crc payload pos rtype len);
+    Buffer.add_char buf (Char.chr (len land 0xff));
+    Buffer.add_char buf (Char.chr ((len lsr 8) land 0xff));
     Buffer.add_char buf (Char.chr (type_to_int rtype));
-    Buffer.add_string buf fragment;
-    t.block_offset <- t.block_offset + header_size + String.length fragment
+    Buffer.add_substring buf payload pos len;
+    t.block_offset <- t.block_offset + header_size + len
 
   (* Frame one logical record into [buf], fragmenting across block
      boundaries as needed. *)
@@ -60,7 +72,7 @@ module Writer = struct
       if leftover < header_size then begin
         (* pad the block tail with zeroes *)
         if leftover > 0 then begin
-          Buffer.add_string buf (String.make leftover '\000');
+          Buffer.add_substring buf zero_pad 0 leftover;
           t.block_offset <- t.block_offset + leftover
         end;
         t.block_offset <- 0
@@ -76,7 +88,7 @@ module Writer = struct
           | false, true -> Last
           | false, false -> Middle
         in
-        emit t buf rtype (String.sub payload !pos fragment_len);
+        emit t buf rtype payload !pos fragment_len;
         if t.block_offset >= block_size then t.block_offset <- 0;
         pos := !pos + fragment_len;
         first := false;
@@ -87,9 +99,9 @@ module Writer = struct
   (** [add_record t payload] appends one logical record, fragmenting across
       block boundaries as needed. *)
   let add_record t payload =
-    let buf = Buffer.create (header_size + String.length payload) in
-    emit_record t buf payload;
-    Pdb_simio.Env.append t.writer (Buffer.contents buf)
+    Buffer.clear t.buf;
+    emit_record t t.buf payload;
+    Pdb_simio.Env.append_buffer t.writer t.buf
 
   (** [add_records t payloads] appends the records in order as one device
       write — the group-commit leader's coalesced WAL append.  The file
@@ -99,9 +111,9 @@ module Writer = struct
     match payloads with
     | [] -> ()
     | payloads ->
-      let buf = Buffer.create 4096 in
-      List.iter (emit_record t buf) payloads;
-      Pdb_simio.Env.append t.writer (Buffer.contents buf)
+      Buffer.clear t.buf;
+      List.iter (emit_record t t.buf) payloads;
+      Pdb_simio.Env.append_buffer t.writer t.buf
 
   let sync t = Pdb_simio.Env.sync t.writer
   let close t = Pdb_simio.Env.close t.writer
@@ -186,35 +198,36 @@ module Reader = struct
             stop := Bad_type;
             stopped := true
           | Some rtype ->
-            let body =
-              String.sub data (!pos + 6) (1 + flen)
-              (* type byte + fragment, as covered by the CRC *)
+            (* the CRC covers the type byte and the fragment *)
+            let crc =
+              Pdb_util.Crc32c.masked
+                (Pdb_util.Crc32c.update 0 data (!pos + 6) (1 + flen))
             in
-            let crc = Pdb_util.Crc32c.masked (Pdb_util.Crc32c.string body) in
             if crc <> stored_crc then begin
               stop := Bad_crc;
               stopped := true
             end
             else begin
-              let fragment = String.sub data (!pos + header_size) flen in
+              let start = !pos + header_size in
               (match rtype with
                | Full ->
                  drop_partial ();
-                 records := fragment :: !records;
+                 records := String.sub data start flen :: !records;
                  incr nrecords
                | First ->
                  drop_partial ();
-                 Buffer.add_string partial fragment;
+                 Buffer.add_substring partial data start flen;
                  in_fragmented := true
                | Middle ->
-                 if !in_fragmented then Buffer.add_string partial fragment
+                 if !in_fragmented then
+                   Buffer.add_substring partial data start flen
                  else begin
                    dropped := !dropped + header_size + flen;
                    incr orphans
                  end
                | Last ->
                  if !in_fragmented then begin
-                   Buffer.add_string partial fragment;
+                   Buffer.add_substring partial data start flen;
                    records := Buffer.contents partial :: !records;
                    incr nrecords;
                    Buffer.clear partial;

@@ -92,6 +92,46 @@ let prop_crc_differs =
       Bytes.set s' 0 (Char.chr ((Char.code s.[0] + 1) land 0xff));
       Crc32c.string s <> Crc32c.string (Bytes.to_string s'))
 
+(* The textbook byte-at-a-time CRC-32C, against which the sliced
+   implementation is checked. *)
+let crc_bytewise crc s pos len =
+  let crc = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    let c = ref ((!crc lxor Char.code s.[i]) land 0xff) in
+    for _ = 0 to 7 do
+      if !c land 1 = 1 then c := (!c lsr 1) lxor 0x82F63B78
+      else c := !c lsr 1
+    done;
+    crc := !c lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc_sliced_matches_bytewise =
+  (* random lengths 0-100 at random, unaligned offsets: covers the
+     8-byte loop, tails shorter than 8 bytes, and an empty range *)
+  qtest ~count:500 "sliced crc = bytewise crc (offsets, lengths 0-100)"
+    QCheck.(
+      quad (int_bound 0xFFFFFFFF) (string_of_size Gen.(0 -- 120))
+        small_nat small_nat)
+    (fun (seed, s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = min 100 (if n - pos = 0 then 0 else b mod (n - pos + 1)) in
+      Crc32c.update seed s pos len = crc_bytewise seed s pos len)
+
+let prop_crc_chains =
+  qtest "update (update 0 a) b = string (a ^ b)"
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Crc32c.update (Crc32c.update 0 a 0 (String.length a)) b 0
+        (String.length b)
+      = Crc32c.string (a ^ b))
+
+let test_crc_out_of_bounds () =
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Crc32c.update: range out of bounds") (fun () ->
+      ignore (Crc32c.update 0 "abcdefghij" 4 7))
+
 (* ---------- Murmur3 ---------- *)
 
 let test_murmur_deterministic () =
@@ -325,6 +365,9 @@ let () =
           Alcotest.test_case "slice" `Quick test_crc_slice;
           Alcotest.test_case "mask roundtrip" `Quick test_crc_mask_roundtrip;
           prop_crc_differs;
+          prop_crc_sliced_matches_bytewise;
+          prop_crc_chains;
+          Alcotest.test_case "out of bounds" `Quick test_crc_out_of_bounds;
         ] );
       ( "murmur3",
         [

@@ -9,6 +9,105 @@
      dune exec bench/main.exe -- --json mt-smoke
                                          # also write results to BENCH.json *)
 
+module Iter = Pdb_kvs.Iter
+module Ik = Pdb_kvs.Internal_key
+module Table = Pdb_sstable.Table
+module Device = Pdb_simio.Device
+
+(* Words allocated so far, read with an empty minor heap so the count is
+   exact. *)
+let allocated_words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* [per_entry name ~entries ~reps f] runs [f] (which handles [entries]
+   entries) once to warm up, then [reps] times, and prints host time and
+   allocated words per entry. *)
+let per_entry name ~entries ~reps f =
+  f ();
+  let w0 = allocated_words () in
+  let t0 = Monotonic_clock.now () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  let t1 = Monotonic_clock.now () in
+  let w1 = allocated_words () in
+  let n = float_of_int (entries * reps) in
+  Printf.printf "  %-28s %12.1f ns/entry %8.1f words/entry\n%!" name
+    (Int64.to_float (Int64.sub t1 t0) /. n)
+    ((w1 -. w0) /. n)
+
+(* compaction.merge: 6 tables of 200 entries with 1 KB values, keys
+   interleaved across tables, merged into one output table the way the
+   engines' merge loops do it — value slices straight into the builder. *)
+let compaction_merge () =
+  let tables = 6 and per_table = 200 in
+  let env = Pdb_simio.Env.create () in
+  let value = String.make 1024 'v' in
+  let metas =
+    List.init tables (fun j ->
+        let b =
+          Table.Builder.create env ~dir:"bench" ~number:(j + 1)
+            ~block_bytes:4096 ~bloom:true ~expected_keys:per_table
+        in
+        for i = 0 to per_table - 1 do
+          Table.Builder.add b
+            (Ik.encode
+               ~user_key:(Printf.sprintf "key%08d" ((i * tables) + j))
+               ~seq:((i * tables) + j + 1) ~kind:Ik.Value)
+            value
+        done;
+        Option.get (Table.Builder.finish b))
+  in
+  let merge () =
+    let scratch = Pdb_sstable.Block_cache.create ~capacity:(8 * 4096) in
+    let children =
+      List.map
+        (fun m ->
+          Table.iterator
+            (Table.open_reader ~hint:Device.Sequential_read env ~dir:"bench" m)
+            ~cache:scratch ~hint:Device.Sequential_read)
+        metas
+    in
+    let merged = Pdb_kvs.Merging_iter.create ~compare:Ik.compare children in
+    let out =
+      Table.Builder.create env ~dir:"bench" ~number:100 ~block_bytes:4096
+        ~bloom:true ~expected_keys:(tables * per_table)
+    in
+    let sl = Iter.slice () in
+    merged.Iter.seek_to_first ();
+    while merged.Iter.valid () do
+      merged.Iter.value_slice sl;
+      Table.Builder.add_slice out (merged.Iter.key ()) sl.Iter.src sl.Iter.pos
+        sl.Iter.len;
+      merged.Iter.next ()
+    done;
+    ignore (Table.Builder.finish out)
+  in
+  per_entry "compaction.merge 6x200x1KB" ~entries:(tables * per_table)
+    ~reps:50 merge
+
+(* merging_iter.next: a full pass over 8 interleaved in-memory children. *)
+let merging_iter_next () =
+  let k = 8 and per_child = 1000 in
+  let children =
+    Array.init k (fun j ->
+        Array.init per_child (fun i ->
+            (Printf.sprintf "key%08d" ((i * k) + j), "v")))
+  in
+  let pass () =
+    let m =
+      Pdb_kvs.Merging_iter.create ~compare:String.compare
+        (Array.to_list (Array.map Iter.of_sorted_array children))
+    in
+    m.Iter.seek_to_first ();
+    while m.Iter.valid () do
+      m.Iter.next ()
+    done
+  in
+  per_entry "merging_iter.next k=8" ~entries:(k * per_child) ~reps:200 pass
+
 let run_bechamel () =
   print_endline "\n#### micro — Bechamel micro-benchmarks (core operations)";
   let open Bechamel in
@@ -132,7 +231,9 @@ let run_bechamel () =
         | Some _ | None -> Printf.printf "  %-28s (no estimate)\n%!" name)
       results
   in
-  List.iter benchmark tests
+  List.iter benchmark tests;
+  compaction_merge ();
+  merging_iter_next ()
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

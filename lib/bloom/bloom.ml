@@ -31,22 +31,27 @@ let get_bit b i =
 
 (* Kirsch–Mitzenmacher double hashing: probe [i] of a key is
    [(h1 + i * h2) mod nbits]. *)
-let hash1 key = Pdb_util.Murmur3.hash32 ~seed:0xbc9f1d34 key
-let hash2 key = Pdb_util.Murmur3.hash32 ~seed:0x7a2d187e key
+let hash1 s pos len = Pdb_util.Murmur3.hash32_range ~seed:0xbc9f1d34 s pos len
+let hash2 s pos len = Pdb_util.Murmur3.hash32_range ~seed:0x7a2d187e s pos len
 let probe t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
 
-(** [add t key] inserts a key. *)
-let add t key =
-  let h1 = hash1 key and h2 = hash2 key in
+(** [add_range t s pos len] inserts the key held in bytes
+    [[pos, pos + len)] of [s], hashing it in place. *)
+let add_range t s pos len =
+  let h1 = hash1 s pos len and h2 = hash2 s pos len in
   for i = 0 to t.k - 1 do
     set_bit t.bits (probe t h1 h2 i)
   done;
   t.nkeys <- t.nkeys + 1
 
+(** [add t key] inserts a key. *)
+let add t key = add_range t key 0 (String.length key)
+
 (** [mem t key] is [false] only if the key was never added; may return
     [true] spuriously (false positive). *)
 let mem t key =
-  let h1 = hash1 key and h2 = hash2 key in
+  let len = String.length key in
+  let h1 = hash1 key 0 len and h2 = hash2 key 0 len in
   let i = ref 0 in
   while !i < t.k && get_bit t.bits (probe t h1 h2 !i) do
     incr i

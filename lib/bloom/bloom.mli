@@ -14,6 +14,12 @@ val create : ?bits_per_key:int -> int -> t
 
 val add : t -> string -> unit
 
+(** [add_range t s pos len] adds the key held in bytes [[pos, pos + len)]
+    of [s] without copying it; the filter bits equal [add t (String.sub s
+    pos len)].
+    @raise Invalid_argument when the range is outside [s]. *)
+val add_range : t -> string -> int -> int -> unit
+
 (** [mem t key] is [false] only if the key was never added; may return
     [true] spuriously (false positive), never a false negative. *)
 val mem : t -> string -> bool

@@ -128,4 +128,9 @@ let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
         match current () with
         | Some it -> it.Iter.value ()
         | None -> invalid_arg "Flsm_level_iter: iterator is not valid");
+    value_slice =
+      (fun sl ->
+        match current () with
+        | Some it -> it.Iter.value_slice sl
+        | None -> invalid_arg "Flsm_level_iter: iterator is not valid");
   }

@@ -92,8 +92,11 @@ let gc_obsolete t =
   end
 
 (* Foreground trace instants (WAL rotations, group commits), stamped at
-   the clock's current modeled time; no-ops without an attached tracer. *)
-let trace_instant t ?(args = []) ~name ~cat () =
+   the clock's current modeled time.  Callers test [tracing t] first, so
+   an untraced run never builds the arguments. *)
+let tracing t = Option.is_some (Env.tracer t.env)
+
+let trace_instant t ~name ~cat args =
   match Env.tracer t.env with
   | Some tr ->
     Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
@@ -174,12 +177,9 @@ let rec flush_memtable t =
      | None -> ());
     Manifest.append t.manifest e;
     Env.delete t.env (log_name t.dir old_log);
-    trace_instant t ~name:"wal-rotate" ~cat:"wal"
-      ~args:
-        [
-          ("old", string_of_int old_log); ("new", string_of_int new_log);
-        ]
-      ();
+    if tracing t then
+      trace_instant t ~name:"wal-rotate" ~cat:"wal"
+        [ ("old", string_of_int old_log); ("new", string_of_int new_log) ];
     maybe_compact t
   end
 
@@ -237,8 +237,8 @@ and run_partition_merge t ~inputs ~source_level ~target_level =
   let merged = Pdb_kvs.Merging_iter.create ~compare:Ik.compare children in
   let outputs = ref [] in
   let builder = ref None in
-  (* partition token of the open builder: (attach_level, guard_index) *)
-  let builder_token = ref (-1, -1) in
+  (* partition of the open builder: attach level and boundary segment *)
+  let builder_level = ref (-1) and builder_segment = ref (-1) in
   let builder_cutoff = ref 0 in
   let finish_builder () =
     match !builder with
@@ -246,19 +246,20 @@ and run_partition_merge t ~inputs ~source_level ~target_level =
     | Some b ->
       (match Table.Builder.finish b with
        | Some meta ->
-         outputs := (fst !builder_token, meta) :: !outputs;
+         outputs := (!builder_level, meta) :: !outputs;
          t.stats.Stats.sstables_built <- t.stats.Stats.sstables_built + 1
        | None -> ());
       builder := None
   in
-  let get_builder token cutoff =
+  let get_builder level segment cutoff =
     match !builder with
-    | Some b when !builder_token = token -> b
+    | Some b when !builder_level = level && !builder_segment = segment -> b
     | Some _ | None ->
       finish_builder ();
       let b = make_builder t in
       builder := Some b;
-      builder_token := token;
+      builder_level := level;
+      builder_segment := segment;
       builder_cutoff := cutoff;
       b
   in
@@ -268,22 +269,20 @@ and run_partition_merge t ~inputs ~source_level ~target_level =
   let source_bounds =
     if source_level >= 1 then partition_boundaries t source_level else [||]
   in
-  (* previous entry seen for the current user key: (key, its seq) *)
-  let last_entry = ref None in
+  (* the previous entry's internal key; "" before the first *)
+  let prev = ref "" in
+  let value = Iter.slice () in
   merged.Iter.seek_to_first ();
   while merged.Iter.valid () do
     let ikey = merged.Iter.key () in
-    let uk = Ik.user_key ikey in
-    let cur_seq = Ik.seq ikey in
     Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
     let drop =
-      match !last_entry with
-      | Some (prev, prev_seq) when String.equal prev uk ->
+      if String.length !prev > 0 && Ik.same_user_key !prev ikey then
         (* superseded version: droppable only when the newer version is
            visible to every live snapshot *)
-        Pdb_kvs.Snapshots.droppable t.snapshots ~prev_seq:(Some prev_seq)
-          ~last_seq:t.last_seq
-      | _ ->
+        Pdb_kvs.Snapshots.droppable t.snapshots
+          ~prev_seq:(Some (Ik.seq !prev)) ~last_seq:t.last_seq
+      else
         (* freshest version of this key.  A tombstone may die here only if
            the target guard holds no older sstables — unlike an LSM
            bottom-level compaction, a partition *append* leaves the guard's
@@ -292,25 +291,29 @@ and run_partition_merge t ~inputs ~source_level ~target_level =
            needs it. *)
         bottom
         && Ik.kind ikey = Ik.Deletion
-        && target.Guard.guards.(Guard.guard_index target uk).Guard.tables = []
-        && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
-             ~last_seq:t.last_seq
+        && target.Guard.guards.(Guard.guard_index target (Ik.user_key ikey))
+             .Guard.tables = []
+        && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots
+             ~seq:(Ik.seq ikey) ~last_seq:t.last_seq
     in
-    last_entry := Some (uk, cur_seq);
+    prev := ikey;
     if not drop then begin
+      let uk = Ik.user_key ikey in
       let tgi = Guard.guard_index target uk in
-      let token, cutoff =
+      let b =
         if Array.length redirect > tgi && redirect.(tgi) then
           (* rewrite within the source level at source granularity *)
-          ((source_level, boundary_index source_bounds uk), big_cutoff)
+          get_builder source_level (boundary_index source_bounds uk)
+            big_cutoff
         else
           (* a fragment is everything that falls into the guard — FLSM does
              not re-cut fragments to a target size (PebblesDB's sstables
              grow much larger than LevelDB's, Table 5.1) *)
-          ((target_level, boundary_index target_bounds uk), max_int)
+          get_builder target_level (boundary_index target_bounds uk) max_int
       in
-      let b = get_builder token cutoff in
-      Table.Builder.add b ikey (merged.Iter.value ());
+      merged.Iter.value_slice value;
+      Table.Builder.add_slice b ikey value.Iter.src value.Iter.pos
+        value.Iter.len;
       if Table.Builder.estimated_size b >= !builder_cutoff then
         finish_builder ()
     end;
@@ -570,28 +573,26 @@ and compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
                | None -> ());
               builder := None
           in
-          let last_entry = ref None in
+          let prev = ref "" in
+          let value = Iter.slice () in
           merged.Iter.seek_to_first ();
           while merged.Iter.valid () do
             let ikey = merged.Iter.key () in
-            let uk = Ik.user_key ikey in
-            let cur_seq = Ik.seq ikey in
             Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
             let drop =
-              (match !last_entry with
-               | Some (prev, prev_seq) when String.equal prev uk ->
-                 Pdb_kvs.Snapshots.droppable t.snapshots
-                   ~prev_seq:(Some prev_seq) ~last_seq:t.last_seq
-               | _ ->
-                 drop_tombstones
-                 && Ik.kind ikey = Ik.Deletion
-                 && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots
-                      ~seq:cur_seq ~last_seq:t.last_seq)
+              if String.length !prev > 0 && Ik.same_user_key !prev ikey then
+                Pdb_kvs.Snapshots.droppable t.snapshots
+                  ~prev_seq:(Some (Ik.seq !prev)) ~last_seq:t.last_seq
+              else
+                drop_tombstones
+                && Ik.kind ikey = Ik.Deletion
+                && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots
+                     ~seq:(Ik.seq ikey) ~last_seq:t.last_seq
             in
-            last_entry := Some (uk, cur_seq);
+            prev := ikey;
             if not drop then begin
               (* cut at pending-guard boundaries too *)
-              let segment = boundary_index bounds uk in
+              let segment = boundary_index bounds (Ik.user_key ikey) in
               if !builder_segment <> segment then begin
                 finish ();
                 builder_segment := segment
@@ -604,7 +605,9 @@ and compact_last_level_guard ?(force_full = false) t (g : Guard.guard) =
                   builder := Some b;
                   b
               in
-              Table.Builder.add b ikey (merged.Iter.value ());
+              merged.Iter.value_slice value;
+              Table.Builder.add_slice b ikey value.Iter.src value.Iter.pos
+                value.Iter.len;
               if Table.Builder.estimated_size b >= cutoff then finish ()
             end;
             merged.Iter.next ()
@@ -1228,11 +1231,10 @@ let write_group t batches =
     }
     batches;
   (match batches with
-   | [] -> ()
-   | _ ->
+   | _ :: _ when tracing t ->
      trace_instant t ~name:"group-commit" ~cat:"wal"
-       ~args:[ ("batches", string_of_int (List.length batches)) ]
-       ())
+       [ ("batches", string_of_int (List.length batches)) ]
+   | _ -> ())
 
 let write t batch = write_group t [ batch ]
 
@@ -1424,6 +1426,10 @@ let iterator ?snapshot ?upper_bound t =
     | Some up -> String.compare (db.Iter.key ()) up <= 0
   in
   let valid () = db.Iter.valid () && in_bound () in
+  let value () =
+    if valid () then db.Iter.value ()
+    else invalid_arg "iterator: iterator is not valid"
+  in
   {
     Iter.seek =
       (fun k ->
@@ -1445,10 +1451,8 @@ let iterator ?snapshot ?upper_bound t =
       (fun () ->
         if valid () then db.Iter.key ()
         else invalid_arg "iterator: iterator is not valid");
-    value =
-      (fun () ->
-        if valid () then db.Iter.value ()
-        else invalid_arg "iterator: iterator is not valid");
+    value;
+    value_slice = Iter.slice_of_value value;
   }
 
 (* ---------- maintenance ---------- *)

@@ -46,6 +46,7 @@ let wrap ?snapshot (internal : Iter.t) =
     | Some e -> e
     | None -> invalid_arg "Db_iter: iterator is not valid"
   in
+  let value () = snd (entry ()) in
   {
     Iter.seek_to_first =
       (fun () ->
@@ -64,5 +65,6 @@ let wrap ?snapshot (internal : Iter.t) =
           find_next_user_entry (Some uk));
     valid = (fun () -> Option.is_some !cur);
     key = (fun () -> fst (entry ()));
-    value = (fun () -> snd (entry ()));
+    value;
+    value_slice = Iter.slice_of_value value;
   }

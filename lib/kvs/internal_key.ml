@@ -38,16 +38,6 @@ let user_key ikey =
   assert (n >= trailer_size);
   String.sub ikey 0 (n - trailer_size)
 
-let seq ikey =
-  let n = String.length ikey in
-  let packed = Pdb_util.Varint.get_fixed64 ikey (n - trailer_size) in
-  Int64.to_int (Int64.shift_right_logical packed 8)
-
-let kind ikey =
-  let n = String.length ikey in
-  let packed = Pdb_util.Varint.get_fixed64 ikey (n - trailer_size) in
-  kind_of_int (Int64.to_int (Int64.logand packed 0xffL))
-
 (* Byte order over [a.[i..n-1]] and [b.[i..n-1]]: the sign of the first
    difference, 0 when equal. *)
 let rec compare_bytes a b i n =
@@ -76,6 +66,21 @@ let trailer_seq s off =
   lor (String.get_uint16_le s (off + 3) lsl 16)
   lor (String.get_uint16_le s (off + 5) lsl 32)
   lor (Char.code (String.unsafe_get s (off + 7)) lsl 48)
+
+(* The trailer of [ikey] starts at [String.length ikey - trailer_size]:
+   the kind byte, then the sequence number.  Both read in place. *)
+let seq ikey = trailer_seq ikey (String.length ikey - trailer_size)
+
+let kind ikey =
+  kind_of_int (Char.code ikey.[String.length ikey - trailer_size])
+
+(** [same_user_key a b] is [String.equal (user_key a) (user_key b)],
+    compared in place. *)
+let same_user_key a b =
+  let na = String.length a - trailer_size
+  and nb = String.length b - trailer_size in
+  assert (na >= 0 && nb >= 0);
+  na = nb && compare_prefix a b 0 na = 0
 
 (** Total order over encoded internal keys: user key ascending, sequence
     descending, kind descending — so the freshest entry for a user key sorts

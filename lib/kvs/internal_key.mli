@@ -24,6 +24,10 @@ val user_key : string -> string
 val seq : string -> int
 val kind : string -> kind
 
+(** [same_user_key a b] tests whether two internal keys carry the same
+    user key, comparing in place without allocating. *)
+val same_user_key : string -> string -> bool
+
 (** Total order: user key ascending, sequence descending, kind descending —
     the freshest entry for a user key sorts first. *)
 val compare : string -> string -> int

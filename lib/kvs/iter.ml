@@ -6,6 +6,9 @@
     All key-value stores in this repository expose their iterators in this
     form, which keeps merging-iterator code engine-agnostic. *)
 
+(** Where the current value lies: bytes [[pos, pos + len)] of [src]. *)
+type slice = { mutable src : string; mutable pos : int; mutable len : int }
+
 type t = {
   seek_to_first : unit -> unit;
   seek : string -> unit;
@@ -14,7 +17,22 @@ type t = {
   valid : unit -> bool;
   key : unit -> string;
   value : unit -> string;
+  value_slice : slice -> unit;
+      (** Fill the argument with the current value's location, without
+          copying it.  The slice is valid until the iterator moves; an
+          iterator over encoded blocks points into the block itself, so
+          the merge loops never allocate a value. *)
 }
+
+let slice () = { src = ""; pos = 0; len = 0 }
+
+(** [slice_of_value value] implements [value_slice] over [value]: the
+    slice spans the whole string [value ()] returns. *)
+let slice_of_value value sl =
+  let v = value () in
+  sl.src <- v;
+  sl.pos <- 0;
+  sl.len <- String.length v
 
 let empty =
   let invalid () = invalid_arg "Iter.empty: iterator is not valid" in
@@ -25,6 +43,7 @@ let empty =
     valid = (fun () -> false);
     key = invalid;
     value = invalid;
+    value_slice = (fun _ -> invalid ());
   }
 
 (** [of_sorted_array ?compare entries] iterates over an array pre-sorted by
@@ -33,6 +52,7 @@ let empty =
 let of_sorted_array ?(compare = String.compare) entries =
   let pos = ref 0 in
   let n = Array.length entries in
+  let value () = snd entries.(!pos) in
   {
     seek_to_first = (fun () -> pos := 0);
     seek =
@@ -48,7 +68,8 @@ let of_sorted_array ?(compare = String.compare) entries =
     next = (fun () -> incr pos);
     valid = (fun () -> !pos >= 0 && !pos < n);
     key = (fun () -> fst entries.(!pos));
-    value = (fun () -> snd entries.(!pos));
+    value;
+    value_slice = slice_of_value value;
   }
 
 (** [to_list it] drains an iterator from the start — test helper. *)

@@ -128,8 +128,11 @@ let gc_obsolete t =
   end
 
 (* Foreground trace instants (WAL rotations, group commits), stamped at
-   the clock's current modeled time; no-ops without an attached tracer. *)
-let trace_instant t ?(args = []) ~name ~cat () =
+   the clock's current modeled time.  Callers test [tracing t] first, so
+   an untraced run never builds the arguments. *)
+let tracing t = Option.is_some (Env.tracer t.env)
+
+let trace_instant t ~name ~cat args =
   match Env.tracer t.env with
   | Some tr ->
     Pdb_simio.Trace.instant tr ~args ~name ~cat ~lane:"foreground"
@@ -298,12 +301,9 @@ let rec flush_memtable t =
      | None -> ());
     Manifest.append t.manifest e;
     Env.delete t.env (log_name t.dir old_log);
-    trace_instant t ~name:"wal-rotate" ~cat:"wal"
-      ~args:
-        [
-          ("old", string_of_int old_log); ("new", string_of_int new_log);
-        ]
-      ();
+    if tracing t then
+      trace_instant t ~name:"wal-rotate" ~cat:"wal"
+        [ ("old", string_of_int old_log); ("new", string_of_int new_log) ];
     maybe_compact t
   end
 
@@ -480,33 +480,33 @@ and run_merge t ~inputs_lo ~inputs_hi ~drop_tombstones ~single_output =
        | None -> ());
       builder := None
   in
-  (* previous entry seen for the current user key: (key, its seq) *)
-  let last_entry = ref None in
+  (* the previous entry's internal key; "" before the first *)
+  let prev = ref "" in
+  let value = Iter.slice () in
   merged.Iter.seek_to_first ();
   while merged.Iter.valid () do
     let ikey = merged.Iter.key () in
-    let uk = Ik.user_key ikey in
-    let cur_seq = Ik.seq ikey in
     Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
     let drop =
-      (match !last_entry with
-       | Some (prev, prev_seq) when String.equal prev uk ->
-         (* superseded version: droppable only when the newer version is
-            visible to every live snapshot *)
-         Pdb_kvs.Snapshots.droppable t.snapshots ~prev_seq:(Some prev_seq)
-           ~last_seq:t.last_seq
-       | _ ->
-         (* tombstones die when they reach the bottom level, unless a
-            snapshot still needs them *)
-         drop_tombstones
-         && Ik.kind ikey = Ik.Deletion
-         && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots ~seq:cur_seq
-              ~last_seq:t.last_seq)
+      if String.length !prev > 0 && Ik.same_user_key !prev ikey then
+        (* superseded version: droppable only when the newer version is
+           visible to every live snapshot *)
+        Pdb_kvs.Snapshots.droppable t.snapshots
+          ~prev_seq:(Some (Ik.seq !prev)) ~last_seq:t.last_seq
+      else
+        (* tombstones die when they reach the bottom level, unless a
+           snapshot still needs them *)
+        drop_tombstones
+        && Ik.kind ikey = Ik.Deletion
+        && Pdb_kvs.Snapshots.tombstone_droppable t.snapshots
+             ~seq:(Ik.seq ikey) ~last_seq:t.last_seq
     in
-    last_entry := Some (uk, cur_seq);
+    prev := ikey;
     if not drop then begin
       let b = get_builder () in
-      Table.Builder.add b ikey (merged.Iter.value ());
+      merged.Iter.value_slice value;
+      Table.Builder.add_slice b ikey value.Iter.src value.Iter.pos
+        value.Iter.len;
       if
         (not single_output)
         && Table.Builder.estimated_size b >= t.opts.O.sstable_target_bytes
@@ -898,11 +898,10 @@ let write_group t batches =
     }
     batches;
   (match batches with
-   | [] -> ()
-   | _ ->
+   | _ :: _ when tracing t ->
      trace_instant t ~name:"group-commit" ~cat:"wal"
-       ~args:[ ("batches", string_of_int (List.length batches)) ]
-       ())
+       [ ("batches", string_of_int (List.length batches)) ]
+   | _ -> ())
 
 let write t batch = write_group t [ batch ]
 
@@ -1136,6 +1135,10 @@ let iterator ?snapshot ?upper_bound t =
     | Some up -> String.compare (db.Iter.key ()) up <= 0
   in
   let valid () = db.Iter.valid () && in_bound () in
+  let value () =
+    if valid () then db.Iter.value ()
+    else invalid_arg "iterator: iterator is not valid"
+  in
   {
     Iter.seek =
       (fun k ->
@@ -1158,10 +1161,8 @@ let iterator ?snapshot ?upper_bound t =
       (fun () ->
         if valid () then db.Iter.key ()
         else invalid_arg "iterator: iterator is not valid");
-    value =
-      (fun () ->
-        if valid () then db.Iter.value ()
-        else invalid_arg "iterator: iterator is not valid");
+    value;
+    value_slice = Iter.slice_of_value value;
   }
 
 (* ---------- maintenance ---------- *)

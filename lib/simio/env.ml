@@ -274,6 +274,13 @@ let tick t label =
     end
   | _ -> ()
 
+(* [tick t (op ^ name)], building the label only while a plan is armed:
+   file operations pay no string concatenation in plain runs. *)
+let tick_op t op name =
+  match t.plan with
+  | Some p when p.Fault_plan.armed -> tick t (op ^ name)
+  | _ -> ()
+
 (** [with_atomic t f] runs [f] deferring any injected crash to the end of
     the section: the IO inside is committed (or lost) as a unit. *)
 let with_atomic t f =
@@ -309,7 +316,7 @@ let create_file t name =
   let file = new_file ~ever_synced in
   Hashtbl.replace t.files name file;
   t.stats.files_created <- t.stats.files_created + 1;
-  tick t ("create:" ^ name);
+  tick_op t "create:" name;
   { env = t; name; file }
 
 (** [append w s] appends [s] as one extent, without copying it; charges
@@ -322,7 +329,7 @@ let append w s =
     st.bytes_written <- st.bytes_written + n;
     st.write_ops <- st.write_ops + 1;
     Clock.advance w.env.clock (Device.write_cost w.env.device ~bytes:n);
-    tick w.env ("append:" ^ w.name)
+    tick_op w.env "append:" w.name
   end
 
 (** [append_buffer w buf] appends the contents of [buf] — one copy, into
@@ -336,7 +343,7 @@ let sync w =
   w.file.ever_synced <- true;
   w.env.stats.syncs <- w.env.stats.syncs + 1;
   Clock.advance w.env.clock (Device.sync_cost w.env.device);
-  tick w.env ("sync:" ^ w.name)
+  tick_op w.env "sync:" w.name
 
 (** [close w] closes the writer (contents remain; unsynced data stays
     volatile until the next [sync] on a new writer or a crash). *)
@@ -372,7 +379,7 @@ let write_at t name ~pos s =
   Clock.advance t.clock
     (Device.read_cost t.device ~hint:Device.Random_read ~bytes:0
      +. Device.write_cost t.device ~bytes:n);
-  tick t ("write_at:" ^ name)
+  tick_op t "write_at:" name
 
 let exists t name = Hashtbl.mem t.files name
 
@@ -417,7 +424,7 @@ let delete t name =
   if Hashtbl.mem t.files name then begin
     Hashtbl.remove t.files name;
     t.stats.files_deleted <- t.stats.files_deleted + 1;
-    tick t ("delete:" ^ name)
+    tick_op t "delete:" name
   end
 
 (** [rename t ~src ~dst] atomically renames a file.  Like ext4's
@@ -432,7 +439,7 @@ let rename t ~src ~dst =
   f.ever_synced <- true;
   t.stats.syncs <- t.stats.syncs + 1;
   Clock.advance t.clock (Device.sync_cost t.device);
-  tick t ("rename:" ^ dst)
+  tick_op t "rename:" dst
 
 let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
 

@@ -30,9 +30,10 @@ module Builder = struct
     done;
     !i
 
-  (** [add t key value] appends an entry; keys must arrive in strictly
-      ascending order under the table's comparator. *)
-  let add t key value =
+  (** [add_slice t key src pos len] appends an entry whose value is bytes
+      [[pos, pos + len)] of [src]; keys must arrive in strictly ascending
+      order under the table's comparator. *)
+  let add_slice t key src pos len =
     let shared =
       if t.counter < restart_interval then shared_prefix_len t.last_key key
       else begin
@@ -45,12 +46,16 @@ module Builder = struct
     let non_shared = String.length key - shared in
     Pdb_util.Varint.put_uvarint t.buf shared;
     Pdb_util.Varint.put_uvarint t.buf non_shared;
-    Pdb_util.Varint.put_uvarint t.buf (String.length value);
+    Pdb_util.Varint.put_uvarint t.buf len;
     Buffer.add_substring t.buf key shared non_shared;
-    Buffer.add_string t.buf value;
+    Buffer.add_substring t.buf src pos len;
     t.last_key <- key;
     t.counter <- t.counter + 1;
     t.entries <- t.entries + 1
+
+  (** [add t key value] appends an entry; keys must arrive in strictly
+      ascending order under the table's comparator. *)
+  let add t key value = add_slice t key value 0 (String.length value)
 
   let current_size_estimate t =
     Buffer.length t.buf + (4 * t.num_restarts) + 4
@@ -114,17 +119,16 @@ type state = {
 let corrupt () = invalid_arg "Block.iterator: corrupt entry"
 
 (* Read a varint at [st.cursor], which must stay inside the entry area. *)
-let varint t st =
-  let rec go shift acc =
-    if st.cursor >= t.restarts_offset || shift > 56 then corrupt ()
-    else begin
-      let b = Char.code (String.unsafe_get t.data st.cursor) in
-      st.cursor <- st.cursor + 1;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then acc else go (shift + 7) acc
-    end
-  in
-  go 0 0
+let rec varint_from t st shift acc =
+  if st.cursor >= t.restarts_offset || shift > 56 then corrupt ()
+  else begin
+    let b = Char.code (String.unsafe_get t.data st.cursor) in
+    st.cursor <- st.cursor + 1;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then acc else varint_from t st (shift + 7) acc
+  end
+
+let varint t st = varint_from t st 0 0
 
 (* Decode the entry at [pos] into [st]: the key takes one allocation (its
    shared prefix comes from [prev_key]); the value is only located.  An
@@ -154,6 +158,21 @@ let decode_entry t st ~prev_key pos =
   st.valid <- true;
   st.next_pos <- vpos + value_len
 
+(* The iterator's steps are plain functions of the block and its state,
+   so building an iterator allocates only the record's own closures. *)
+let advance t st =
+  if st.next_pos >= t.restarts_offset then st.valid <- false
+  else
+    decode_entry t st ~prev_key:(if st.valid then st.key else "") st.next_pos
+
+let seek_to_restart t st i =
+  st.next_pos <- restart_point t i;
+  st.valid <- false;
+  advance t st
+
+let check_valid st =
+  if not st.valid then invalid_arg "Block.iterator: iterator is not valid"
+
 (** [iterator ~compare t] walks the block's entries.  [compare] orders the
     stored keys (internal-key order for data blocks). *)
 let iterator ~compare t =
@@ -163,57 +182,48 @@ let iterator ~compare t =
     { valid = false; key = ""; vpos = 0; vlen = 0; value = None;
       next_pos = t.restarts_offset; cursor = 0 }
   in
-  let advance () =
-    if st.next_pos >= t.restarts_offset then st.valid <- false
-    else
-      decode_entry t st ~prev_key:(if st.valid then st.key else "")
-        st.next_pos
-  in
-  let seek_to_restart i =
-    st.next_pos <- restart_point t i;
-    st.valid <- false;
-    advance ()
-  in
-  let seek_to_first () =
-    if t.num_restarts = 0 then st.valid <- false else seek_to_restart 0
-  in
-  let seek target =
-    if t.num_restarts = 0 then st.valid <- false
-    else begin
-      (* last restart whose first key is < target *)
-      let lo = ref 0 and hi = ref (t.num_restarts - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        decode_entry t st ~prev_key:"" (restart_point t mid);
-        if compare st.key target < 0 then lo := mid else hi := mid - 1
-      done;
-      seek_to_restart !lo;
-      while st.valid && compare st.key target < 0 do
-        advance ()
-      done
-    end
-  in
-  let check_valid () =
-    if not st.valid then invalid_arg "Block.iterator: iterator is not valid"
-  in
   {
-    Pdb_kvs.Iter.seek_to_first;
-    seek;
-    next = (fun () -> if st.valid then advance ());
+    Pdb_kvs.Iter.seek_to_first =
+      (fun () ->
+        if t.num_restarts = 0 then st.valid <- false
+        else seek_to_restart t st 0);
+    seek =
+      (fun target ->
+        if t.num_restarts = 0 then st.valid <- false
+        else begin
+          (* last restart whose first key is < target *)
+          let lo = ref 0 and hi = ref (t.num_restarts - 1) in
+          while !lo < !hi do
+            let mid = (!lo + !hi + 1) / 2 in
+            decode_entry t st ~prev_key:"" (restart_point t mid);
+            if compare st.key target < 0 then lo := mid else hi := mid - 1
+          done;
+          seek_to_restart t st !lo;
+          while st.valid && compare st.key target < 0 do
+            advance t st
+          done
+        end);
+    next = (fun () -> if st.valid then advance t st);
     valid = (fun () -> st.valid);
     key =
       (fun () ->
-        check_valid ();
+        check_valid st;
         st.key);
     value =
       (fun () ->
-        check_valid ();
+        check_valid st;
         match st.value with
         | Some v -> v
         | None ->
           let v = String.sub t.data st.vpos st.vlen in
           st.value <- Some v;
           v);
+    value_slice =
+      (fun sl ->
+        check_valid st;
+        sl.Pdb_kvs.Iter.src <- t.data;
+        sl.pos <- st.vpos;
+        sl.len <- st.vlen);
   }
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)

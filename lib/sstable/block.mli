@@ -17,6 +17,10 @@ module Builder : sig
       ascending order under the table's comparator. *)
   val add : t -> string -> string -> unit
 
+  (** [add_slice t key src pos len] is [add] with the value given as bytes
+      [[pos, pos + len)] of [src], appended without an intermediate copy. *)
+  val add_slice : t -> string -> string -> int -> int -> unit
+
   val current_size_estimate : t -> int
   val is_empty : t -> bool
 
@@ -41,10 +45,10 @@ val size_bytes : t -> int
 (** [iterator ~compare t] walks the block's entries; [compare] orders the
     stored keys (internal-key order for data blocks).  Each entry's key is
     built with one allocation; its value is copied out only when [value]
-    is called.
+    is called, and [value_slice] points into the block without a copy.
     @raise Invalid_argument from [seek_to_first], [seek] or [next] on an
     entry whose key or value runs past the block's entry area, and from
-    [key]/[value] when the iterator is not valid. *)
+    [key]/[value]/[value_slice] when the iterator is not valid. *)
 val iterator : compare:(string -> string -> int) -> t -> Pdb_kvs.Iter.t
 
 (** [entries ~compare t] decodes the whole block in order — test helper. *)

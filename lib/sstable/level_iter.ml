@@ -105,4 +105,9 @@ let create ?(filter = Seek_filter.none) ?probe ~cache ~block_cache ~hint
         match current () with
         | Some it -> it.Pdb_kvs.Iter.value ()
         | None -> invalid_arg "Level_iter: iterator is not valid");
+    value_slice =
+      (fun sl ->
+        match current () with
+        | Some it -> it.Pdb_kvs.Iter.value_slice sl
+        | None -> invalid_arg "Level_iter: iterator is not valid");
   }

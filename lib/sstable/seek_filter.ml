@@ -146,4 +146,9 @@ let table_iterator t ~cache ~block_cache ~hint ~on_table (m : Table.meta) =
         match current () with
         | Some i -> i.Pdb_kvs.Iter.value ()
         | None -> invalid_arg "Seek_filter.table_iterator: not valid");
+    value_slice =
+      (fun sl ->
+        match current () with
+        | Some i -> i.Pdb_kvs.Iter.value_slice sl
+        | None -> invalid_arg "Seek_filter.table_iterator: not valid");
   }

@@ -63,7 +63,6 @@ module Builder = struct
     mutable smallest : string option;
     mutable largest : string;
     mutable entries : int;
-    mutable last_user_key : string;  (** meaningful once [entries > 0] *)
     mutable last_prefix : string option;
     scratch : Buffer.t;  (** index handles and the footer *)
   }
@@ -94,7 +93,6 @@ module Builder = struct
       smallest = None;
       largest = "";
       entries = 0;
-      last_user_key = "";
       last_prefix = None;
       scratch = Buffer.create footer_size;
     }
@@ -119,23 +117,24 @@ module Builder = struct
       t.index := (last_key, h) :: !(t.index)
     end
 
-  (** [add t ikey value] appends an entry; internal keys must arrive in
-      ascending order. *)
-  let add t ikey value =
-    if t.smallest = None then t.smallest <- Some ikey;
-    t.largest <- ikey;
+  (** [add_slice t ikey src pos len] appends an entry whose value is bytes
+      [[pos, pos + len)] of [src]; internal keys must arrive in ascending
+      order.  The filter hashes the user key inside [ikey] in place. *)
+  let add_slice t ikey src pos len =
     (match t.filter with
      | Some f ->
-       (* one filter probe key per distinct user key *)
-       let uk = Pdb_kvs.Internal_key.user_key ikey in
-       if t.entries = 0 || not (String.equal t.last_user_key uk) then begin
-         Pdb_bloom.Bloom.add f uk;
-         t.last_user_key <- uk;
+       (* one filter probe key per distinct user key; [t.largest] is the
+          previous entry's key *)
+       if
+         t.entries = 0
+         || not (Pdb_kvs.Internal_key.same_user_key t.largest ikey)
+       then begin
+         let ulen = String.length ikey - Pdb_kvs.Internal_key.trailer_size in
+         Pdb_bloom.Bloom.add_range f ikey 0 ulen;
          (* keys arrive sorted, so consecutive dedupe covers all repeats
             of a prefix *)
-         if t.prefix_bloom_len > 0 && String.length uk >= t.prefix_bloom_len
-         then begin
-           let p = String.sub uk 0 t.prefix_bloom_len in
+         if t.prefix_bloom_len > 0 && ulen >= t.prefix_bloom_len then begin
+           let p = String.sub ikey 0 t.prefix_bloom_len in
            let seen =
              match t.last_prefix with
              | Some last -> String.equal last p
@@ -148,10 +147,16 @@ module Builder = struct
          end
        end
      | None -> ());
+    if t.entries = 0 then t.smallest <- Some ikey;
+    t.largest <- ikey;
     t.entries <- t.entries + 1;
-    Block.Builder.add t.data ikey value;
+    Block.Builder.add_slice t.data ikey src pos len;
     if Block.Builder.current_size_estimate t.data >= t.block_bytes then
       flush_data_block t
+
+  (** [add t ikey value] appends an entry; internal keys must arrive in
+      ascending order. *)
+  let add t ikey value = add_slice t ikey value 0 (String.length value)
 
   let estimated_size t =
     t.offset + Block.Builder.current_size_estimate t.data
@@ -421,7 +426,9 @@ let get r ~cache ~hint ikey =
 (** [iterator r ~cache ~hint] is a two-level iterator over the table. *)
 let iterator r ~cache ~hint =
   let index_it = Block.iterator ~compare:ikey_compare r.index in
-  let data_it = ref None in
+  (* the current data block's iterator; [Iter.empty] once the index is
+     exhausted, so the accessors never allocate an option *)
+  let data_it = ref Pdb_kvs.Iter.empty in
   let load_block () =
     if index_it.Pdb_kvs.Iter.valid () then begin
       let h, _ = decode_handle (index_it.Pdb_kvs.Iter.value ()) 0 in
@@ -429,64 +436,46 @@ let iterator r ~cache ~hint =
         Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
           ~size:h.size ~hint
       in
-      data_it := Some (Block.iterator ~compare:ikey_compare block)
+      data_it := Block.iterator ~compare:ikey_compare block
     end
-    else data_it := None
+    else data_it := Pdb_kvs.Iter.empty
   in
   let skip_exhausted () =
-    let rec go () =
-      match !data_it with
-      | Some it when not (it.Pdb_kvs.Iter.valid ()) ->
-        index_it.Pdb_kvs.Iter.next ();
-        load_block ();
-        (match !data_it with
-         | Some it2 ->
-           it2.Pdb_kvs.Iter.seek_to_first ();
-           go ()
-         | None -> ())
-      | Some _ | None -> ()
-    in
-    go ()
+    while
+      index_it.Pdb_kvs.Iter.valid () && not (!data_it.Pdb_kvs.Iter.valid ())
+    do
+      index_it.Pdb_kvs.Iter.next ();
+      load_block ();
+      !data_it.Pdb_kvs.Iter.seek_to_first ()
+    done
   in
   let current () =
-    match !data_it with
-    | Some it when it.Pdb_kvs.Iter.valid () -> Some it
-    | Some _ | None -> None
+    let it = !data_it in
+    if it.Pdb_kvs.Iter.valid () then it
+    else invalid_arg "Table.iterator: iterator is not valid"
   in
   {
     Pdb_kvs.Iter.seek_to_first =
       (fun () ->
         index_it.Pdb_kvs.Iter.seek_to_first ();
         load_block ();
-        (match !data_it with
-         | Some it -> it.Pdb_kvs.Iter.seek_to_first ()
-         | None -> ());
+        !data_it.Pdb_kvs.Iter.seek_to_first ();
         skip_exhausted ());
     seek =
       (fun target ->
         index_it.Pdb_kvs.Iter.seek target;
         load_block ();
-        (match !data_it with
-         | Some it -> it.Pdb_kvs.Iter.seek target
-         | None -> ());
+        !data_it.Pdb_kvs.Iter.seek target;
         skip_exhausted ());
     next =
       (fun () ->
-        (match current () with
-         | Some it -> it.Pdb_kvs.Iter.next ()
-         | None -> ());
+        let it = !data_it in
+        if it.Pdb_kvs.Iter.valid () then it.Pdb_kvs.Iter.next ();
         skip_exhausted ());
-    valid = (fun () -> Option.is_some (current ()));
-    key =
-      (fun () ->
-        match current () with
-        | Some it -> it.Pdb_kvs.Iter.key ()
-        | None -> invalid_arg "Table.iterator: iterator is not valid");
-    value =
-      (fun () ->
-        match current () with
-        | Some it -> it.Pdb_kvs.Iter.value ()
-        | None -> invalid_arg "Table.iterator: iterator is not valid");
+    valid = (fun () -> !data_it.Pdb_kvs.Iter.valid ());
+    key = (fun () -> (current ()).Pdb_kvs.Iter.key ());
+    value = (fun () -> (current ()).Pdb_kvs.Iter.value ());
+    value_slice = (fun sl -> (current ()).Pdb_kvs.Iter.value_slice sl);
   }
 
 (** [recover_meta env ~dir ~number] reconstructs a table's metadata from

@@ -43,6 +43,11 @@ module Builder : sig
       ascending order. *)
   val add : t -> string -> string -> unit
 
+  (** [add_slice t ikey src pos len] is [add] with the value given as bytes
+      [[pos, pos + len)] of [src]: the compaction merge hands an input
+      block's value slice straight to the output block. *)
+  val add_slice : t -> string -> string -> int -> int -> unit
+
   val estimated_size : t -> int
   val entry_count : t -> int
 

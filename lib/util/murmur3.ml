@@ -16,18 +16,22 @@ let fmix32 h =
 let c1 = 0xcc9e2d51
 let c2 = 0x1b873593
 
-(** [hash32 ?seed s] is the 32-bit MurmurHash3 of [s]. *)
-let hash32 ?(seed = 0) s =
-  let len = String.length s in
+(* Unchecked: callers bound the range first. *)
+let byte s i = Char.code (String.unsafe_get s i)
+
+(** [hash32_range ?seed s pos len] is the 32-bit MurmurHash3 of bytes
+    [[pos, pos + len)] of [s], hashed in place.
+    @raise Invalid_argument when the range is outside [s]. *)
+let hash32_range ?(seed = 0) s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Murmur3.hash32_range";
   let nblocks = len / 4 in
   let h = ref (seed land 0xFFFFFFFF) in
   for i = 0 to nblocks - 1 do
-    let p = i * 4 in
+    let p = pos + (i * 4) in
     let k =
-      Char.code s.[p]
-      lor (Char.code s.[p + 1] lsl 8)
-      lor (Char.code s.[p + 2] lsl 16)
-      lor (Char.code s.[p + 3] lsl 24)
+      byte s p lor (byte s (p + 1) lsl 8) lor (byte s (p + 2) lsl 16)
+      lor (byte s (p + 3) lsl 24)
     in
     let k = (k * c1) land 0xFFFFFFFF in
     let k = rotl32 k 15 in
@@ -36,13 +40,13 @@ let hash32 ?(seed = 0) s =
     h := rotl32 !h 13;
     h := (!h * 5 + 0xe6546b64) land 0xFFFFFFFF
   done;
-  let tail = nblocks * 4 in
+  let tail = pos + (nblocks * 4) in
   let k = ref 0 in
   let rem = len land 3 in
-  if rem >= 3 then k := !k lxor (Char.code s.[tail + 2] lsl 16);
-  if rem >= 2 then k := !k lxor (Char.code s.[tail + 1] lsl 8);
+  if rem >= 3 then k := !k lxor (byte s (tail + 2) lsl 16);
+  if rem >= 2 then k := !k lxor (byte s (tail + 1) lsl 8);
   if rem >= 1 then begin
-    k := !k lxor Char.code s.[tail];
+    k := !k lxor byte s tail;
     k := (!k * c1) land 0xFFFFFFFF;
     k := rotl32 !k 15;
     k := (!k * c2) land 0xFFFFFFFF;
@@ -50,6 +54,9 @@ let hash32 ?(seed = 0) s =
   end;
   h := !h lxor len;
   fmix32 !h
+
+(** [hash32 ?seed s] is the 32-bit MurmurHash3 of [s]. *)
+let hash32 ?seed s = hash32_range ?seed s 0 (String.length s)
 
 (** [trailing_ones n] counts consecutive set least-significant bits — the
     quantity PebblesDB's guard selector inspects. *)

@@ -5,16 +5,13 @@
 
 (** [put_uvarint buf n] appends the base-128 varint encoding of [n] (which
     must be non-negative) to [buf]. *)
-let put_uvarint buf n =
+let rec put_uvarint buf n =
   assert (n >= 0);
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    put_uvarint buf (n lsr 7)
+  end
 
 (** [get_uvarint s pos] decodes a varint from [s] starting at [pos]; returns
     [(value, next_pos)].  Raises [Invalid_argument] on truncated input. *)

@@ -54,6 +54,29 @@ let prop_bloom_membership =
       List.iter (Bloom.add b) keys;
       List.for_all (Bloom.mem b) keys)
 
+let prop_bloom_add_range_matches_add =
+  (* the filter bits of an in-place add equal those of adding the copy *)
+  qtest ~count:300 "add_range = add of the copy (offsets, lengths 0-40)"
+    QCheck.(list (triple (string_of_size Gen.(0 -- 60)) small_nat small_nat))
+    (fun cases ->
+      let by_range = Bloom.create 64 and by_copy = Bloom.create 64 in
+      List.iter
+        (fun (s, a, b) ->
+          let n = String.length s in
+          let pos = if n = 0 then 0 else a mod (n + 1) in
+          let len = min 40 (b mod (n - pos + 1)) in
+          Bloom.add_range by_range s pos len;
+          Bloom.add by_copy (String.sub s pos len))
+        cases;
+      String.equal (Bloom.encode by_range) (Bloom.encode by_copy))
+
+let test_bloom_add_range_out_of_bounds () =
+  let b = Bloom.create 10 in
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Murmur3.hash32_range") (fun () ->
+      Bloom.add_range b "abcdef" 3 4);
+  check Alcotest.int "nothing added" 0 (Bloom.nkeys b)
+
 (* ---------- Skiplist ---------- *)
 
 module Skiplist = Pdb_skiplist.Skiplist
@@ -160,6 +183,9 @@ let () =
             test_bloom_encode_roundtrip;
           Alcotest.test_case "empty" `Quick test_bloom_empty;
           prop_bloom_membership;
+          prop_bloom_add_range_matches_add;
+          Alcotest.test_case "add_range out of bounds" `Quick
+            test_bloom_add_range_out_of_bounds;
         ] );
       ( "skiplist",
         [

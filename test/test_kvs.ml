@@ -171,6 +171,98 @@ let prop_merge_is_sorted_union =
       let expected = List.sort String.compare (l1 @ l2) in
       got = expected)
 
+(* Drain [it] from its current position, checking at every entry that the
+   value slice spans exactly the bytes [value ()] returns. *)
+let drain (it : Iter.t) =
+  let sl = Iter.slice () in
+  let rec go acc =
+    if it.valid () then begin
+      let v = it.value () in
+      it.value_slice sl;
+      if not (String.equal (String.sub sl.Iter.src sl.Iter.pos sl.Iter.len) v) then
+        Alcotest.fail "value slice differs from value";
+      let e = (it.key (), v) in
+      it.next ();
+      go (e :: acc)
+    end
+    else List.rev acc
+  in
+  go []
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Reference merge: every child's entries stably sorted by key, so equal
+   keys keep child order — the merging iterator's tie rule. *)
+let reference_merge children =
+  List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+    (List.concat children)
+
+let prop_merge_matches_reference =
+  (* up to 8 children over a 4-letter alphabet: duplicates across
+     children, empty children and an empty key all occur; each value
+     names its child, so the tie rule is observable *)
+  let key = QCheck.Gen.(string_size ~gen:(char_range 'a' 'd') (0 -- 2)) in
+  let gen =
+    QCheck.make
+      ~print:QCheck.Print.(pair (list (list string)) string)
+      QCheck.Gen.(pair (list_size (0 -- 8) (list_size (0 -- 10) key)) key)
+  in
+  qtest "heap merge = stable sort by key, then child" ~count:500 gen
+    (fun (keyss, target) ->
+      let children =
+        List.mapi
+          (fun i ks ->
+            List.map
+              (fun k -> (k, Printf.sprintf "%d:%s" i k))
+              (List.sort_uniq String.compare ks))
+          keyss
+      in
+      let mk () =
+        List.map (fun es -> Iter.of_sorted_array (Array.of_list es)) children
+      in
+      let expected = reference_merge children in
+      let from = List.filter (fun (k, _) -> String.compare k target >= 0) expected in
+      let m = Merging_iter.create ~compare:String.compare (mk ()) in
+      let unpositioned = raises_invalid m.Iter.key in
+      m.Iter.seek_to_first ();
+      let all = drain m in
+      let exhausted =
+        raises_invalid m.Iter.key && raises_invalid m.Iter.value
+        && raises_invalid (fun () -> m.Iter.value_slice (Iter.slice ()))
+        && raises_invalid m.Iter.next
+      in
+      m.Iter.seek target;
+      let sought = drain m in
+      m.Iter.seek_to_first ();
+      let again = drain m in
+      let cs = mk () in
+      List.iter (fun (c : Iter.t) -> c.seek target) cs;
+      let p = Merging_iter.create ~positioned:true ~compare:String.compare cs in
+      let positioned = drain p in
+      unpositioned && all = expected && exhausted && sought = from
+      && again = expected && positioned = from)
+
+let test_memtable_value_slice () =
+  let m = Memtable.create () in
+  List.iteri
+    (fun i (k, v) ->
+      Memtable.add m ~seq:(i + 1) ~kind:Internal_key.Value ~user_key:k ~value:v)
+    [ ("b", "two"); ("a", ""); ("c", String.make 300 'x'); ("a", "one") ];
+  let it = Memtable.iterator m in
+  it.Iter.seek_to_first ();
+  check Alcotest.int "all entries, slices = values" 4 (List.length (drain it))
+
+let prop_same_user_key =
+  qtest "same_user_key = equal user keys" ~count:300
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 20)) (string_of_size Gen.(0 -- 20))
+        small_nat small_nat)
+    (fun (a, b, s1, s2) ->
+      let ik k s = Internal_key.encode ~user_key:k ~seq:s ~kind:Internal_key.Value in
+      Internal_key.same_user_key (ik a s1) (ik b s2) = String.equal a b
+      && Internal_key.same_user_key (ik a s1) (ik a s2))
+
 (* ---------- Db_iter ---------- *)
 
 let ik k seq kind = Internal_key.encode ~user_key:k ~seq ~kind
@@ -227,6 +319,7 @@ let () =
           Alcotest.test_case "seq desc" `Quick test_ikey_order_seq_desc;
           Alcotest.test_case "lookup key" `Quick test_ikey_lookup_key;
           prop_ikey_total_order;
+          prop_same_user_key;
         ] );
       ( "write-batch",
         [
@@ -242,6 +335,7 @@ let () =
           Alcotest.test_case "bytes grow" `Quick test_memtable_bytes_grow;
           Alcotest.test_case "iterator order" `Quick
             test_memtable_iterator_order;
+          Alcotest.test_case "value slice" `Quick test_memtable_value_slice;
         ] );
       ( "merging-iter",
         [
@@ -251,6 +345,7 @@ let () =
           Alcotest.test_case "seek" `Quick test_merge_seek;
           Alcotest.test_case "empty" `Quick test_merge_empty_children;
           prop_merge_is_sorted_union;
+          prop_merge_matches_reference;
         ] );
       ( "db-iter",
         [

@@ -152,6 +152,37 @@ let test_murmur_spread () =
   let frac = float_of_int !ones /. float_of_int n in
   Alcotest.(check bool) "low bit balanced" true (frac > 0.45 && frac < 0.55)
 
+let test_murmur_known_answers () =
+  (* MurmurHash3_x86_32 reference vectors *)
+  check Alcotest.int "empty" 0 (Murmur3.hash32 "");
+  check Alcotest.int "hello" 0x248bfa47 (Murmur3.hash32 "hello");
+  check Alcotest.int "fox" 0x2e4ff723
+    (Murmur3.hash32 "The quick brown fox jumps over the lazy dog")
+
+let prop_murmur_range_matches_copy =
+  (* unaligned offsets and lengths 0-40 cover every tail length *)
+  qtest ~count:500 "hash32_range = hash32 of the copy (offsets, lengths 0-40)"
+    QCheck.(
+      quad (int_bound 0xFFFFFFFF) (string_of_size Gen.(0 -- 60)) small_nat
+        small_nat)
+    (fun (seed, s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = min 40 (b mod (n - pos + 1)) in
+      Murmur3.hash32_range ~seed s pos len
+      = Murmur3.hash32 ~seed (String.sub s pos len))
+
+let test_murmur_range_out_of_bounds () =
+  let raises name pos len =
+    Alcotest.check_raises name (Invalid_argument "Murmur3.hash32_range")
+      (fun () -> ignore (Murmur3.hash32_range "abcdefghij" pos len))
+  in
+  raises "past the end" 4 7;
+  raises "negative position" (-1) 2;
+  raises "negative length" 2 (-1);
+  check Alcotest.int "empty range at the end" (Murmur3.hash32 "")
+    (Murmur3.hash32_range "abcdefghij" 10 0)
+
 let test_trailing_ones () =
   check Alcotest.int "0b0111" 3 (Murmur3.trailing_ones 0b0111);
   check Alcotest.int "0b0110" 0 (Murmur3.trailing_ones 0b0110);
@@ -373,6 +404,10 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_murmur_deterministic;
           Alcotest.test_case "bit spread" `Quick test_murmur_spread;
+          Alcotest.test_case "known answers" `Quick test_murmur_known_answers;
+          prop_murmur_range_matches_copy;
+          Alcotest.test_case "range out of bounds" `Quick
+            test_murmur_range_out_of_bounds;
           Alcotest.test_case "trailing ones" `Quick test_trailing_ones;
         ] );
       ( "histogram",

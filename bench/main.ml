@@ -23,8 +23,8 @@ let allocated_words () =
 
 (* [per_entry name ~entries ~reps f] runs [f] (which handles [entries]
    entries) once to warm up, then [reps] times, and prints host time and
-   allocated words per entry. *)
-let per_entry name ~entries ~reps f =
+   allocated words per entry ([unit] names what an entry is). *)
+let per_entry ?(unit = "entry") name ~entries ~reps f =
   f ();
   let w0 = allocated_words () in
   let t0 = Monotonic_clock.now () in
@@ -34,9 +34,9 @@ let per_entry name ~entries ~reps f =
   let t1 = Monotonic_clock.now () in
   let w1 = allocated_words () in
   let n = float_of_int (entries * reps) in
-  Printf.printf "  %-28s %12.1f ns/entry %8.1f words/entry\n%!" name
+  Printf.printf "  %-28s %12.1f ns/%s %8.1f words/%s\n%!" name
     (Int64.to_float (Int64.sub t1 t0) /. n)
-    ((w1 -. w0) /. n)
+    unit ((w1 -. w0) /. n) unit
 
 (* compaction.merge: 6 tables of 200 entries with 1 KB values, keys
    interleaved across tables, merged into one output table the way the
@@ -107,6 +107,104 @@ let merging_iter_next () =
     done
   in
   per_entry "merging_iter.next k=8" ~entries:(k * per_child) ~reps:200 pass
+
+(* block_cache.evict_file: retire each of 250 files holding 8 resident
+   blocks (2 000 in all) from a cache that holds them all; the cache is
+   refilled between passes, outside the timing. *)
+let block_cache_evict_file () =
+  let files = 250 and blocks = 8 and reps = 20 in
+  let env = Pdb_simio.Env.create () in
+  let raw =
+    let b = Pdb_sstable.Block.Builder.create () in
+    for i = 0 to 15 do
+      Pdb_sstable.Block.Builder.add b (Printf.sprintf "key%04d" i) "value"
+    done;
+    Pdb_sstable.Block.Builder.finish b
+  in
+  let size = String.length raw in
+  let names =
+    Array.init files (fun f ->
+        let name = Table.file_name ~dir:"bench" f in
+        let w = Pdb_simio.Env.create_file env name in
+        for _ = 1 to blocks do
+          Pdb_simio.Env.append w raw
+        done;
+        Pdb_simio.Env.close w;
+        name)
+  in
+  let cache =
+    Pdb_sstable.Block_cache.create ~capacity:(files * blocks * size)
+  in
+  let fill () =
+    Array.iter
+      (fun file ->
+        for b = 0 to blocks - 1 do
+          ignore
+            (Pdb_sstable.Block_cache.find_or_load cache env ~file
+               ~offset:(b * size) ~size ~hint:Device.Random_read)
+        done)
+      names
+  in
+  let ns = ref 0.0 and words = ref 0.0 in
+  for _ = 1 to reps do
+    fill ();
+    let w0 = allocated_words () in
+    let t0 = Monotonic_clock.now () in
+    Array.iter
+      (fun file -> Pdb_sstable.Block_cache.evict_file cache ~file)
+      names;
+    let t1 = Monotonic_clock.now () in
+    ns := !ns +. Int64.to_float (Int64.sub t1 t0);
+    words := !words +. (allocated_words () -. w0)
+  done;
+  let n = float_of_int (files * reps) in
+  Printf.printf "  %-28s %12.1f ns/call %8.1f words/call\n%!"
+    "block_cache.evict_file" (!ns /. n) (!words /. n)
+
+(* table_cache.find: a hit on an open table. *)
+let table_cache_find () =
+  let env = Pdb_simio.Env.create () in
+  let b =
+    Table.Builder.create env ~dir:"bench" ~number:1 ~block_bytes:4096
+      ~bloom:true ~expected_keys:100
+  in
+  for i = 0 to 99 do
+    Table.Builder.add b
+      (Ik.encode ~user_key:(Printf.sprintf "key%08d" i) ~seq:(i + 1)
+         ~kind:Ik.Value)
+      "value"
+  done;
+  let meta = Option.get (Table.Builder.finish b) in
+  let tc = Pdb_sstable.Table_cache.create env ~dir:"bench" ~entries:16 in
+  let calls = 1000 in
+  per_entry ~unit:"call" "table_cache.find (hit)" ~entries:calls ~reps:1000
+    (fun () ->
+      for _ = 1 to calls do
+        ignore (Pdb_sstable.Table_cache.find tc meta)
+      done)
+
+(* lsm level locate: the leveled get's search for the one file of a
+   1 000-file level that may hold a key (hits, gaps and misses). *)
+let lsm_level_locate () =
+  let files = 1000 in
+  let ik k =
+    Ik.encode ~user_key:(Printf.sprintf "key%08d" k) ~seq:1 ~kind:Ik.Value
+  in
+  let level =
+    Array.init files (fun f ->
+        { Table.number = f; file_size = 0; entries = 8;
+          smallest = ik (f * 10); largest = ik ((f * 10) + 7) })
+  in
+  let rng = Pdb_util.Rng.create 7 in
+  let probes =
+    Array.init 1000 (fun _ ->
+        Printf.sprintf "key%08d" (Pdb_util.Rng.int rng (files * 11)))
+  in
+  per_entry ~unit:"call" "lsm level locate (1000 files)"
+    ~entries:(Array.length probes) ~reps:1000 (fun () ->
+      Array.iter
+        (fun key -> ignore (Pdb_lsm.Lsm_store.locate level key))
+        probes)
 
 let run_bechamel () =
   print_endline "\n#### micro — Bechamel micro-benchmarks (core operations)";
@@ -233,7 +331,10 @@ let run_bechamel () =
   in
   List.iter benchmark tests;
   compaction_merge ();
-  merging_iter_next ()
+  merging_iter_next ();
+  block_cache_evict_file ();
+  table_cache_find ();
+  lsm_level_locate ()
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

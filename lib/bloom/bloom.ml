@@ -47,16 +47,20 @@ let add_range t s pos len =
 (** [add t key] inserts a key. *)
 let add t key = add_range t key 0 (String.length key)
 
-(** [mem t key] is [false] only if the key was never added; may return
-    [true] spuriously (false positive). *)
-let mem t key =
-  let len = String.length key in
-  let h1 = hash1 key 0 len and h2 = hash2 key 0 len in
+(** [mem_hashed t h1 h2] is [mem] for a key whose {!hash1}/{!hash2} are
+    [h1]/[h2] — a get hashes its key once for every table it probes. *)
+let mem_hashed t h1 h2 =
   let i = ref 0 in
   while !i < t.k && get_bit t.bits (probe t h1 h2 !i) do
     incr i
   done;
   !i = t.k
+
+(** [mem t key] is [false] only if the key was never added; may return
+    [true] spuriously (false positive). *)
+let mem t key =
+  let len = String.length key in
+  mem_hashed t (hash1 key 0 len) (hash2 key 0 len)
 
 (** [size_bytes t] is the in-memory footprint — reported in the Table 5.4
     memory-consumption experiment. *)

@@ -24,6 +24,15 @@ val add_range : t -> string -> int -> int -> unit
     [true] spuriously (false positive), never a false negative. *)
 val mem : t -> string -> bool
 
+(** The two hashes of the key held in bytes [[pos, pos + len)] of a
+    string, the same for every filter. *)
+val hash1 : string -> int -> int -> int
+val hash2 : string -> int -> int -> int
+
+(** [mem_hashed t (hash1 k 0 n) (hash2 k 0 n)] is [mem t k] for a key [k]
+    of length [n]: a lookup probing many filters hashes its key once. *)
+val mem_hashed : t -> int -> int -> bool
+
 (** In-memory footprint — reported in the Table 5.4 memory experiment. *)
 val size_bytes : t -> int
 

@@ -73,8 +73,8 @@ let charge_cpu t ns = Clock.advance_cpu t.clock ns
 let last_level t = t.opts.O.max_levels - 1
 
 let user_range_overlap (m : Table.meta) key =
-  String.compare (Ik.user_key m.Table.smallest) key <= 0
-  && String.compare key (Ik.user_key m.Table.largest) <= 0
+  Ik.compare_user m.Table.smallest key <= 0
+  && Ik.compare_user m.Table.largest key >= 0
 
 (* While a snapshot is live, superseded files are pinned (a snapshot
    iterator may still read them); they are collected at the next mutating
@@ -1268,7 +1268,9 @@ let release_snapshot t s = Pdb_kvs.Snapshots.release t.snapshots s
 
 (* ---------- reads (§3.4 Get, §4.1) ---------- *)
 
-let table_lookup ?snapshot t (meta : Table.meta) key =
+(* [lookup] is the get's seek key (built once per get, for its snapshot
+   or the latest state) and [h1]/[h2] the key's bloom hashes. *)
+let table_lookup t (meta : Table.meta) key ~lookup ~h1 ~h2 =
   (* inside a probe session (multi-table get) each lookup's device time is
      measured so independent table probes overlap up to the budget *)
   Pdb_simio.Probe.measure t.probe (fun () ->
@@ -1279,7 +1281,7 @@ let table_lookup ?snapshot t (meta : Table.meta) key =
         if Table.has_filter reader then begin
           charge_cpu t t.opts.O.cpu_bloom_check_ns;
           t.stats.Stats.bloom_checks <- t.stats.Stats.bloom_checks + 1;
-          let pass = Table.may_contain reader key in
+          let pass = Table.may_contain_hashed reader h1 h2 in
           if not pass then
             t.stats.Stats.bloom_negative <- t.stats.Stats.bloom_negative + 1;
           pass
@@ -1289,16 +1291,11 @@ let table_lookup ?snapshot t (meta : Table.meta) key =
       if not pass_bloom then None
       else begin
         charge_cpu t t.opts.O.cpu_per_block_search_ns;
-        let lookup =
-          match snapshot with
-          | Some seq -> Ik.lookup_at ~user_key:key ~seq
-          | None -> Ik.max_for_lookup key
-        in
         match
           Table.get reader ~cache:t.block_cache ~hint:Device.Random_read
             lookup
         with
-        | Some (ikey, value) when String.equal (Ik.user_key ikey) key ->
+        | Some (ikey, value) when Ik.compare_user ikey key = 0 ->
           Some (Ik.kind ikey, value)
         | Some _ | None -> None
       end)
@@ -1316,19 +1313,28 @@ let get ?snapshot t key =
   | Some (Some v) -> Some v
   | Some None -> None
   | None ->
+    (* the seek key and the bloom hashes, once for every table probed *)
+    let lookup =
+      match snapshot with
+      | Some seq -> Ik.lookup_at ~user_key:key ~seq
+      | None -> Ik.max_for_lookup key
+    in
+    let len = String.length key in
+    let h1 = Pdb_bloom.Bloom.hash1 key 0 len
+    and h2 = Pdb_bloom.Bloom.hash2 key 0 len in
     (* the candidate tables of one lookup are independent random reads:
        bracket them in a probe session so they overlap up to the budget *)
     Pdb_simio.Probe.with_session t.probe ~label:"get" (fun () ->
         let result = ref `NotFound in
+        let probe (m : Table.meta) =
+          if !result = `NotFound && user_range_overlap m key then
+            match table_lookup t m key ~lookup ~h1 ~h2 with
+            | Some (Ik.Value, v) -> result := `Found v
+            | Some (Ik.Deletion, _) -> result := `Deleted
+            | None -> ()
+        in
         (* L0: newest first *)
-        List.iter
-          (fun (m : Table.meta) ->
-            if !result = `NotFound && user_range_overlap m key then
-              match table_lookup ?snapshot t m key with
-              | Some (Ik.Value, v) -> result := `Found v
-              | Some (Ik.Deletion, _) -> result := `Deleted
-              | None -> ())
-          t.l0;
+        List.iter probe t.l0;
         (* one guard per deeper level; tables newest first *)
         let level = ref 1 in
         while !result = `NotFound && !level <= last_level t do
@@ -1336,14 +1342,7 @@ let get ?snapshot t key =
           charge_cpu t t.opts.O.cpu_per_block_search_ns
             (* guard binary search *);
           let gi = Guard.guard_index lvl key in
-          List.iter
-            (fun (m : Table.meta) ->
-              if !result = `NotFound && user_range_overlap m key then
-                match table_lookup ?snapshot t m key with
-                | Some (Ik.Value, v) -> result := `Found v
-                | Some (Ik.Deletion, _) -> result := `Deleted
-                | None -> ())
-            lvl.Guard.guards.(gi).Guard.tables;
+          List.iter probe lvl.Guard.guards.(gi).Guard.tables;
           incr level
         done;
         match !result with `Found v -> Some v | `Deleted | `NotFound -> None)

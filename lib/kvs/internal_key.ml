@@ -82,6 +82,14 @@ let same_user_key a b =
   assert (na >= 0 && nb >= 0);
   na = nb && compare_prefix a b 0 na = 0
 
+(** [compare_user ikey user_key] has the sign of [String.compare (user_key
+    ikey) user_key], comparing in place. *)
+let compare_user ikey u =
+  let n = String.length ikey - trailer_size and m = String.length u in
+  assert (n >= 0);
+  let c = compare_prefix ikey u 0 (if n < m then n else m) in
+  if c <> 0 then c else Int.compare n m
+
 (** Total order over encoded internal keys: user key ascending, sequence
     descending, kind descending — so the freshest entry for a user key sorts
     first.  Compares both keys in place, without allocating. *)

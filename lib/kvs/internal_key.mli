@@ -28,6 +28,11 @@ val kind : string -> kind
     user key, comparing in place without allocating. *)
 val same_user_key : string -> string -> bool
 
+(** [compare_user ikey user_key] has the sign of
+    [String.compare (user_key ikey) user_key], compared in place without
+    allocating. *)
+val compare_user : string -> string -> int
+
 (** Total order: user key ascending, sequence descending, kind descending —
     the freshest entry for a user key sorts first. *)
 val compare : string -> string -> int

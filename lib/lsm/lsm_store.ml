@@ -58,6 +58,8 @@ type t = {
       (* level 0: newest first (descending file number); levels >= 1:
          leveled layout = ascending by smallest key, disjoint ranges;
          tiered layout = newest first, runs may overlap *)
+  level_arrays : Table.meta array array; (* [levels] as arrays, ... *)
+  level_sources : Table.meta list array; (* ... built from these lists *)
   compact_pointer : string array; (* round-robin pick cursor per level *)
   mutable obsolete : string list; (* files awaiting deletion *)
   snapshots : Pdb_kvs.Snapshots.t;
@@ -75,8 +77,36 @@ let new_file_number t =
 let charge_cpu t ns = Clock.advance_cpu t.clock ns
 
 let user_range_overlap (m : Table.meta) key =
-  String.compare (Ik.user_key m.Table.smallest) key <= 0
-  && String.compare key (Ik.user_key m.Table.largest) <= 0
+  Ik.compare_user m.Table.smallest key <= 0
+  && Ik.compare_user m.Table.largest key >= 0
+
+(* [level_array t level] is [t.levels.(level)] as an array, rebuilt only
+   when that level's list has been replaced since the last call. *)
+let level_array t level =
+  let files = t.levels.(level) in
+  if files != t.level_sources.(level) then begin
+    t.level_arrays.(level) <- Array.of_list files;
+    t.level_sources.(level) <- files
+  end;
+  t.level_arrays.(level)
+
+(** [locate files key] is the index of the file of a leveled level
+    (sorted by smallest key, disjoint) whose user-key range holds [key],
+    or -1: the first file whose largest user key is >= [key], if its
+    smallest is <= [key] — the first overlapping file, found in
+    O(log n). *)
+let locate (files : Table.meta array) key =
+  let lo = ref 0 and hi = ref (Array.length files) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Ik.compare_user files.(mid).Table.largest key < 0 then lo := mid + 1
+    else hi := mid
+  done;
+  if
+    !lo < Array.length files
+    && Ik.compare_user files.(!lo).Table.smallest key <= 0
+  then !lo
+  else -1
 
 (* ---------- policy-dependent level layout ---------- *)
 
@@ -751,6 +781,8 @@ let open_store ?block_cache (opts : O.t) ~env ~dir =
       next_file = !next_file;
       last_seq = !last_seq;
       levels;
+      level_arrays = Array.make opts.O.max_levels [||];
+      level_sources = Array.make opts.O.max_levels [];
       compact_pointer = Array.make opts.O.max_levels "";
       obsolete = [];
       snapshots = Pdb_kvs.Snapshots.create ();
@@ -932,9 +964,10 @@ let release_snapshot t s = Pdb_kvs.Snapshots.release t.snapshots s
 
 (* ---------- reads ---------- *)
 
-(* Search one table for the freshest version of [key] visible at
-   [snapshot] (or at the latest state). *)
-let table_lookup ?snapshot t (meta : Table.meta) key =
+(* Search one table for the freshest version of [key]: [lookup] is the
+   get's seek key (built once per get, for its snapshot or the latest
+   state) and [h1]/[h2] the key's bloom hashes. *)
+let table_lookup t (meta : Table.meta) key ~lookup ~h1 ~h2 =
   (* inside a probe session (L0 pile / tiered-run get) each lookup's
      device time is measured so independent probes overlap up to the
      budget *)
@@ -948,7 +981,7 @@ let table_lookup ?snapshot t (meta : Table.meta) key =
           charge_cpu t t.opts.O.cpu_bloom_check_ns;
           t.stats.Pdb_kvs.Engine_stats.bloom_checks <-
             t.stats.Pdb_kvs.Engine_stats.bloom_checks + 1;
-          let pass = Table.may_contain reader key in
+          let pass = Table.may_contain_hashed reader h1 h2 in
           if not pass then
             t.stats.Pdb_kvs.Engine_stats.bloom_negative <-
               t.stats.Pdb_kvs.Engine_stats.bloom_negative + 1;
@@ -959,16 +992,11 @@ let table_lookup ?snapshot t (meta : Table.meta) key =
       if not pass_bloom then None
       else begin
         charge_cpu t t.opts.O.cpu_per_block_search_ns;
-        let lookup =
-          match snapshot with
-          | Some seq -> Ik.lookup_at ~user_key:key ~seq
-          | None -> Ik.max_for_lookup key
-        in
         match
           Table.get reader ~cache:t.block_cache ~hint:Device.Random_read
             lookup
         with
-        | Some (ikey, value) when String.equal (Ik.user_key ikey) key ->
+        | Some (ikey, value) when Ik.compare_user ikey key = 0 ->
           Some (Ik.kind ikey, value)
         | Some _ | None -> None
       end)
@@ -986,49 +1014,45 @@ let get ?snapshot t key =
   | Some (Some v) -> Some v
   | Some None -> None
   | None ->
+    (* the seek key and the bloom hashes, once for every table probed *)
+    let lookup =
+      match snapshot with
+      | Some seq -> Ik.lookup_at ~user_key:key ~seq
+      | None -> Ik.max_for_lookup key
+    in
+    let len = String.length key in
+    let h1 = Pdb_bloom.Bloom.hash1 key 0 len
+    and h2 = Pdb_bloom.Bloom.hash2 key 0 len in
     (* the candidate tables of one lookup (the L0 pile, a tiered level's
        overlapping runs) are independent random reads: bracket them in a
        probe session so they overlap up to the device budget *)
     Pdb_simio.Probe.with_session t.probe ~label:"get" (fun () ->
         let result = ref `NotFound in
-        (* level 0: newest file first; first hit wins *)
-        let rec search_l0 = function
+        let probe m =
+          match table_lookup t m key ~lookup ~h1 ~h2 with
+          | Some (Ik.Value, v) -> result := `Found v
+          | Some (Ik.Deletion, _) -> result := `Deleted
+          | None -> ()
+        in
+        (* level 0 and tiered levels: every overlapping file, newest
+           first; first hit wins *)
+        let rec search_overlapping = function
           | [] -> ()
           | (m : Table.meta) :: rest ->
             if !result = `NotFound then begin
-              if user_range_overlap m key then
-                (match table_lookup ?snapshot t m key with
-                 | Some (Ik.Value, v) -> result := `Found v
-                 | Some (Ik.Deletion, _) -> result := `Deleted
-                 | None -> ());
-              search_l0 rest
+              if user_range_overlap m key then probe m;
+              search_overlapping rest
             end
         in
-        search_l0 t.levels.(0);
-        (* deeper levels: leveled layout has at most one candidate file;
-           tiered layout probes every overlapping run, newest first *)
+        search_overlapping t.levels.(0);
+        (* deeper levels: leveled layout has at most one candidate file *)
         let level = ref 1 in
         while !result = `NotFound && !level < t.opts.O.max_levels do
-          let candidates =
-            if tiered_level t !level then
-              List.filter (fun m -> user_range_overlap m key) t.levels.(!level)
-            else
-              match
-                List.find_opt
-                  (fun m -> user_range_overlap m key)
-                  t.levels.(!level)
-              with
-              | Some m -> [ m ]
-              | None -> []
-          in
-          List.iter
-            (fun m ->
-              if !result = `NotFound then
-                match table_lookup ?snapshot t m key with
-                | Some (Ik.Value, v) -> result := `Found v
-                | Some (Ik.Deletion, _) -> result := `Deleted
-                | None -> ())
-            candidates;
+          (if tiered_level t !level then search_overlapping t.levels.(!level)
+           else
+             let files = level_array t !level in
+             let i = locate files key in
+             if i >= 0 then probe files.(i));
           incr level
         done;
         match !result with `Found v -> Some v | `Deleted | `NotFound -> None)
@@ -1088,7 +1112,7 @@ let internal_iterator ?upper_user t =
             [
               Pdb_sstable.Level_iter.create ~filter ~probe:t.probe
                 ~cache:t.table_cache ~block_cache:t.block_cache
-                ~hint:Device.Random_read ~on_table (Array.of_list files);
+                ~hint:Device.Random_read ~on_table (level_array t level);
             ])
       (List.init (t.opts.O.max_levels - 1) (fun i -> i + 1))
   in

@@ -18,15 +18,23 @@ type ctx = {
 let create_ctx ~clock ~budget ~tracer () =
   { clock; budget; tracer; active = None }
 
+let record ctx s before =
+  s.costs <- (Clock.lane_time ctx.clock -. before) :: s.costs
+
 let measure ctx f =
   match ctx.active with
   | None -> f ()
   | Some s ->
+    (* record the cost whether [f] returns or raises; a plain match
+       allocates no closures *)
     let before = Clock.lane_time ctx.clock in
-    Fun.protect
-      ~finally:(fun () ->
-        s.costs <- (Clock.lane_time ctx.clock -. before) :: s.costs)
-      f
+    match f () with
+    | r ->
+      record ctx s before;
+      r
+    | exception e ->
+      record ctx s before;
+      raise e
 
 (* Pack costs onto [lanes] lanes, longest first (LPT): each cost lands on
    the least-loaded lane.  lanes <= 1 or a single cost degenerate to the
@@ -80,14 +88,20 @@ let finish ctx s =
     | Some _ | None -> ()
   end
 
+let close ctx s =
+  ctx.active <- None;
+  finish ctx s
+
 let with_session ctx ~label f =
   match ctx.active with
   | Some _ -> f () (* nested: fold into the outer session *)
   | None ->
     let s = { label; start_elapsed = now ctx; costs = [] } in
     ctx.active <- Some s;
-    Fun.protect
-      ~finally:(fun () ->
-        ctx.active <- None;
-        finish ctx s)
-      f
+    match f () with
+    | r ->
+      close ctx s;
+      r
+    | exception e ->
+      close ctx s;
+      raise e

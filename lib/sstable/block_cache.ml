@@ -2,42 +2,100 @@
     block size.  A cache hit costs no device time — only the modeled CPU the
     engine charges — which is how "the lower levels are usually cached in
     memory" (§2.2) and the low-memory experiment (Figure 5.2b) are
-    expressed. *)
+    expressed.
 
-type key = { file : string; offset : int }
+    The cache interns each full file path to an int id and keys the LRU by
+    [(id lsl 32) lor offset], so shards sharing one cache cannot collide
+    and a probe hashes one int.  Per file it records the offsets it has
+    cached — a superset of the resident ones — so retiring a file costs
+    its own blocks, not a pass over the whole cache. *)
 
-type t = (string, Block.t) Pdb_util.Lru.t
+type file = {
+  id : int;
+  mutable offsets : int list; (* cached at some point; may repeat *)
+  mutable recorded : int; (* length of [offsets] *)
+  mutable pruned : int; (* length of [offsets] after the last prune *)
+}
 
-let create ~capacity : t = Pdb_util.Lru.create ~capacity
+type t = {
+  lru : (int, Block.t) Pdb_util.Lru.t;
+  files : (string, file) Hashtbl.t; (* full path -> interned id *)
+  mutable next_id : int;
+}
 
-let key_string (k : key) = String.concat ":" [ k.file; string_of_int k.offset ]
+let create ~capacity =
+  { lru = Pdb_util.Lru.create ~capacity; files = Hashtbl.create 16;
+    next_id = 0 }
+
+let lru_key (f : file) offset = (f.id lsl 32) lor offset
+
+let intern t name =
+  match Hashtbl.find t.files name with
+  | f -> f
+  | exception Not_found ->
+    let f = { id = t.next_id; offsets = []; recorded = 0; pruned = 0 } in
+    t.next_id <- t.next_id + 1;
+    Hashtbl.add t.files name f;
+    f
+
+(* Record [offset] as cached.  Blocks evicted by capacity and loaded again
+   repeat in the list, so once it doubles it is cut back to the resident
+   offsets: amortised O(1), and never more than twice the resident count
+   (plus slack). *)
+let record t (f : file) offset =
+  if f.recorded >= (2 * f.pruned) + 16 then begin
+    f.offsets <-
+      List.filter (fun o -> Pdb_util.Lru.mem t.lru (lru_key f o)) f.offsets;
+    f.recorded <- List.length f.offsets;
+    f.pruned <- f.recorded
+  end;
+  f.offsets <- offset :: f.offsets;
+  f.recorded <- f.recorded + 1
 
 (** [find_or_load t env ~file ~offset ~size ~hint] returns the decoded
     block, reading it from the environment (and charging device time) only
     on a miss. *)
-let find_or_load (t : t) env ~file ~offset ~size ~hint =
-  let k = key_string { file; offset } in
-  match Pdb_util.Lru.find t k with
-  | Some block -> (block, `Hit)
-  | None ->
+let find_or_load t env ~file ~offset ~size ~hint =
+  let f = intern t file in
+  let k = lru_key f offset in
+  match Pdb_util.Lru.find_exn t.lru k with
+  | block -> (block, `Hit)
+  | exception Not_found ->
     let raw = Pdb_simio.Env.read env file ~pos:offset ~len:size ~hint in
     let block = Block.decode raw in
-    Pdb_util.Lru.insert t k block ~weight:size;
+    Pdb_util.Lru.insert t.lru k block ~weight:size;
+    record t f offset;
     (block, `Miss)
 
 (** [evict_file t ~file] drops every cached block of [file].  Called when
     an sstable is garbage-collected: its decoded blocks must not keep
     occupying LRU capacity (they can never hit again) or skew hit rates,
     mirroring [Table_cache.evict]. *)
-let evict_file (t : t) ~file =
-  let prefix = file ^ ":" in
-  let doomed =
-    Pdb_util.Lru.fold t
-      (fun acc k _ -> if String.starts_with ~prefix k then k :: acc else acc)
-      []
-  in
-  List.iter (Pdb_util.Lru.remove t) doomed
+let evict_file t ~file =
+  match Hashtbl.find t.files file with
+  | f ->
+    List.iter (fun o -> Pdb_util.Lru.remove t.lru (lru_key f o)) f.offsets;
+    Hashtbl.remove t.files file
+  | exception Not_found -> ()
 
-let used = Pdb_util.Lru.used
-let hits = Pdb_util.Lru.hits
-let misses = Pdb_util.Lru.misses
+(** [mem t ~file ~offset] is whether that block is resident, without
+    touching recency or the hit counters. *)
+let mem t ~file ~offset =
+  match Hashtbl.find t.files file with
+  | f -> Pdb_util.Lru.mem t.lru (lru_key f offset)
+  | exception Not_found -> false
+
+(** [resident_files t] lists the files with at least one resident block,
+    sorted. *)
+let resident_files t =
+  Hashtbl.fold
+    (fun name f acc ->
+      if List.exists (fun o -> Pdb_util.Lru.mem t.lru (lru_key f o)) f.offsets
+      then name :: acc
+      else acc)
+    t.files []
+  |> List.sort String.compare
+
+let used t = Pdb_util.Lru.used t.lru
+let hits t = Pdb_util.Lru.hits t.lru
+let misses t = Pdb_util.Lru.misses t.lru

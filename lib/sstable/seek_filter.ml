@@ -50,11 +50,17 @@ let upper_user t = t.upper_user
 let above_upper t (m : Table.meta) =
   match t.upper_user with
   | None -> false
-  | Some up -> String.compare (Ik.user_key m.Table.smallest) up > 0
+  | Some up -> Ik.compare_user m.Table.smallest up > 0
+
+(* [a] and [b] agree on bytes [i, n). *)
+let rec same_bytes a b i n =
+  i >= n || (a.[i] = b.[i] && same_bytes a b (i + 1) n)
 
 (* Prefix-bloom refinement: only meaningful when the whole probe range
-   shares the table's full prefix length. *)
-let prefix_absent t (m : Table.meta) ~target_user =
+   shares the table's full prefix length.  [target] is an internal key;
+   its user-key prefix is compared in place, and copied only for the
+   filter probe. *)
+let prefix_absent t (m : Table.meta) ~target =
   match t.upper_user with
   | None -> false
   | Some up -> (
@@ -63,10 +69,10 @@ let prefix_absent t (m : Table.meta) ~target_user =
     | Some r ->
       let pl = Table.prefix_len r in
       pl > 0
-      && String.length target_user >= pl
+      && String.length target - Ik.trailer_size >= pl
       && String.length up >= pl
-      && String.sub target_user 0 pl = String.sub up 0 pl
-      && not (Table.may_contain_prefix r (String.sub target_user 0 pl)))
+      && same_bytes target up 0 pl
+      && not (Table.may_contain_prefix r (String.sub target 0 pl)))
 
 (** [skip_seek t m ~target] decides whether a seek to internal key
     [target] may skip table [m] entirely. *)
@@ -76,7 +82,7 @@ let skip_seek t (m : Table.meta) ~target =
     let skipped =
       Ik.compare m.Table.largest target < 0
       || above_upper t m
-      || prefix_absent t m ~target_user:(Ik.user_key target)
+      || prefix_absent t m ~target
     in
     t.on_check ~skipped;
     skipped

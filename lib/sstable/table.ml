@@ -18,11 +18,6 @@ let encode_handle buf h =
   Pdb_util.Varint.put_uvarint buf h.offset;
   Pdb_util.Varint.put_uvarint buf h.size
 
-let decode_handle s pos =
-  let offset, pos = Pdb_util.Varint.get_uvarint s pos in
-  let size, pos = Pdb_util.Varint.get_uvarint s pos in
-  ({ offset; size }, pos)
-
 let footer_size = 28
 let magic = 0x50454242 (* "PEBB" *)
 
@@ -230,13 +225,17 @@ type filter_slot =
   | Lazy of handle
 
 (** An open table: index block resident in memory (the paper's cached
-    index blocks); data blocks go through the shared block cache. *)
+    index blocks), decoded once at open into parallel arrays so a probe
+    binary-searches keys and reads handles without decoding anything;
+    data blocks go through the shared block cache. *)
 type reader = {
   env : Pdb_simio.Env.t;
   name : string;
   meta : meta;
-  index : Block.t;
-  index_handle : handle;
+  keys : string array; (* each data block's last key, ascending *)
+  offsets : int array; (* and its handle *)
+  sizes : int array;
+  index_handle : handle; (* [size] is the index's resident footprint *)
   filter_handle : handle;
   prefix_len : int;
   mutable filter : filter_slot;
@@ -246,6 +245,23 @@ type reader = {
 }
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
+
+(* Decode a raw index block into its keys and handles, in order. *)
+let decode_index raw =
+  let it = Block.iterator ~compare:ikey_compare (Block.decode raw) in
+  let entries = ref [] in
+  it.Pdb_kvs.Iter.seek_to_first ();
+  while it.Pdb_kvs.Iter.valid () do
+    let handle = it.Pdb_kvs.Iter.value () in
+    let offset, pos = Pdb_util.Varint.get_uvarint handle 0 in
+    let size, _ = Pdb_util.Varint.get_uvarint handle pos in
+    entries := (it.Pdb_kvs.Iter.key (), offset, size) :: !entries;
+    it.Pdb_kvs.Iter.next ()
+  done;
+  let entries = Array.of_list (List.rev !entries) in
+  ( Array.map (fun (k, _, _) -> k) entries,
+    Array.map (fun (_, o, _) -> o) entries,
+    Array.map (fun (_, _, z) -> z) entries )
 
 (** [open_reader ?hint env ~dir meta] opens a table, reading footer, index
     and filter.  Cold point-lookups pay three random reads; compaction
@@ -266,8 +282,8 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
   let prefix_len = Pdb_util.Varint.get_fixed32 footer 24 in
   if stored_magic <> magic then
     failwith (Printf.sprintf "Table.open_reader %s: bad magic" name);
-  let index =
-    Block.decode
+  let keys, offsets, sizes =
+    decode_index
       (Pdb_simio.Env.read env name ~pos:index_off ~len:index_size ~hint)
   in
   let filter =
@@ -282,7 +298,9 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
     env;
     name;
     meta;
-    index;
+    keys;
+    offsets;
+    sizes;
     index_handle = { offset = index_off; size = index_size };
     filter_handle = { offset = filter_off; size = filter_size };
     prefix_len;
@@ -300,8 +318,8 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
     (meta : meta) summary =
   let name = file_name ~dir meta.number in
   let index_off, index_size = Index_summary.index_handle summary in
-  let index =
-    Block.decode
+  let keys, offsets, sizes =
+    decode_index
       (Pdb_simio.Env.read env name ~pos:index_off ~len:index_size ~hint)
   in
   let slice = Index_summary.slice_bytes summary in
@@ -315,7 +333,9 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
     env;
     name;
     meta;
-    index;
+    keys;
+    offsets;
+    sizes;
     index_handle = { offset = index_off; size = index_size };
     filter_handle = { offset = filter_off; size = filter_size };
     prefix_len = Index_summary.prefix_len summary;
@@ -344,12 +364,20 @@ let load_filter r =
     deferred filter materialises (no-op if already resident or absent). *)
 let set_on_filter_load r f = r.on_filter_load <- Some f
 
+(** [may_contain_hashed r h1 h2] is [may_contain] for a key whose
+    {!Pdb_bloom.Bloom.hash1}/[hash2] are [h1]/[h2]. *)
+let may_contain_hashed r h1 h2 =
+  match load_filter r with
+  | Some f -> Pdb_bloom.Bloom.mem_hashed f h1 h2
+  | None -> true
+
 (** [may_contain r user_key] consults the table's bloom filter; [true] when
     no filter is attached. *)
 let may_contain r user_key =
-  match load_filter r with
-  | Some f -> Pdb_bloom.Bloom.mem f user_key
-  | None -> true
+  let len = String.length user_key in
+  may_contain_hashed r
+    (Pdb_bloom.Bloom.hash1 user_key 0 len)
+    (Pdb_bloom.Bloom.hash2 user_key 0 len)
 
 (** [may_contain_prefix r prefix] is [false] only when the table was built
     with [prefix_bloom_len = String.length prefix] and its filter proves no
@@ -369,7 +397,7 @@ let prefix_len r = r.prefix_len
     A still-lazy filter is counted at its on-disk size — the decoded bloom
     is the bit array plus a small header, so the two agree. *)
 let resident_bytes r =
-  Block.size_bytes r.index
+  r.index_handle.size
   + (match r.filter with
      | Loaded f -> Pdb_bloom.Bloom.size_bytes f
      | Lazy h -> h.size
@@ -378,74 +406,67 @@ let resident_bytes r =
 (** [summarize ~stride r] digests an open table into an {!Index_summary}
     capturing its handles and actual resident footprint. *)
 let summarize ~stride r =
-  let it = Block.iterator ~compare:ikey_compare r.index in
-  it.Pdb_kvs.Iter.seek_to_first ();
-  let entries = ref [] in
-  while it.Pdb_kvs.Iter.valid () do
-    let h, _ = decode_handle (it.Pdb_kvs.Iter.value ()) 0 in
-    entries := (it.Pdb_kvs.Iter.key (), (h.offset, h.size)) :: !entries;
-    it.Pdb_kvs.Iter.next ()
-  done;
   Index_summary.build ~stride ~number:r.meta.number ~entries:r.meta.entries
     ~index_handle:(r.index_handle.offset, r.index_handle.size)
     ~filter_handle:(r.filter_handle.offset, r.filter_handle.size)
     ~prefix_len:r.prefix_len
-    ~index_bytes:(Block.size_bytes r.index)
+    ~index_bytes:r.index_handle.size
     ~filter_bytes:
       (match r.filter with
        | Loaded f -> Pdb_bloom.Bloom.size_bytes f
        | Lazy h -> h.size
        | No_filter -> 0)
-    (List.rev !entries)
+    (List.init (Array.length r.keys) (fun i ->
+         (r.keys.(i), (r.offsets.(i), r.sizes.(i)))))
 
-(* Locate the handle of the block that may contain [ikey]. *)
-let find_block_handle r ikey =
-  let it = Block.iterator ~compare:ikey_compare r.index in
-  it.Pdb_kvs.Iter.seek ikey;
-  if it.Pdb_kvs.Iter.valid () then
-    let h, _ = decode_handle (it.Pdb_kvs.Iter.value ()) 0 in
-    Some h
-  else None
+(* The first block whose last key is >= [ikey] — the only one that may
+   hold the first entry >= [ikey]; [Array.length r.keys] if none. *)
+let find_block r ikey =
+  let lo = ref 0 and hi = ref (Array.length r.keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ikey_compare r.keys.(mid) ikey < 0 then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* The decoded data block at index position [i]. *)
+let load_block r ~cache ~hint i =
+  fst
+    (Block_cache.find_or_load cache r.env ~file:r.name ~offset:r.offsets.(i)
+       ~size:r.sizes.(i) ~hint)
 
 (** [get r ~cache ~hint ikey] returns the first entry with internal key >=
     [ikey], reading at most one data block. *)
 let get r ~cache ~hint ikey =
-  match find_block_handle r ikey with
-  | None -> None
-  | Some h ->
-    let block, _ =
-      Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
-        ~size:h.size ~hint
-    in
+  let i = find_block r ikey in
+  if i >= Array.length r.keys then None
+  else begin
+    let block = load_block r ~cache ~hint i in
     let it = Block.iterator ~compare:ikey_compare block in
     it.Pdb_kvs.Iter.seek ikey;
     if it.Pdb_kvs.Iter.valid () then
       Some (it.Pdb_kvs.Iter.key (), it.Pdb_kvs.Iter.value ())
     else None
+  end
 
 (** [iterator r ~cache ~hint] is a two-level iterator over the table. *)
 let iterator r ~cache ~hint =
-  let index_it = Block.iterator ~compare:ikey_compare r.index in
+  let n = Array.length r.keys in
+  (* the index position of the current data block; [n] once exhausted *)
+  let pos = ref n in
   (* the current data block's iterator; [Iter.empty] once the index is
      exhausted, so the accessors never allocate an option *)
   let data_it = ref Pdb_kvs.Iter.empty in
-  let load_block () =
-    if index_it.Pdb_kvs.Iter.valid () then begin
-      let h, _ = decode_handle (index_it.Pdb_kvs.Iter.value ()) 0 in
-      let block, _ =
-        Block_cache.find_or_load cache r.env ~file:r.name ~offset:h.offset
-          ~size:h.size ~hint
-      in
-      data_it := Block.iterator ~compare:ikey_compare block
-    end
-    else data_it := Pdb_kvs.Iter.empty
+  let position i =
+    pos := i;
+    data_it :=
+      if i < n then
+        Block.iterator ~compare:ikey_compare (load_block r ~cache ~hint i)
+      else Pdb_kvs.Iter.empty
   in
   let skip_exhausted () =
-    while
-      index_it.Pdb_kvs.Iter.valid () && not (!data_it.Pdb_kvs.Iter.valid ())
-    do
-      index_it.Pdb_kvs.Iter.next ();
-      load_block ();
+    while !pos < n && not (!data_it.Pdb_kvs.Iter.valid ()) do
+      position (!pos + 1);
       !data_it.Pdb_kvs.Iter.seek_to_first ()
     done
   in
@@ -457,14 +478,12 @@ let iterator r ~cache ~hint =
   {
     Pdb_kvs.Iter.seek_to_first =
       (fun () ->
-        index_it.Pdb_kvs.Iter.seek_to_first ();
-        load_block ();
+        position 0;
         !data_it.Pdb_kvs.Iter.seek_to_first ();
         skip_exhausted ());
     seek =
       (fun target ->
-        index_it.Pdb_kvs.Iter.seek target;
-        load_block ();
+        position (find_block r target);
         !data_it.Pdb_kvs.Iter.seek target;
         skip_exhausted ());
     next =
@@ -495,13 +514,6 @@ let recover_meta env ~dir ~number =
       ~len:footer_size ~hint:Pdb_simio.Device.Sequential_read
   in
   let entries = Pdb_util.Varint.get_fixed32 footer 16 in
-  let index_it = Block.iterator ~compare:ikey_compare reader.index in
-  index_it.Pdb_kvs.Iter.seek_to_first ();
-  let largest = ref "" in
-  while index_it.Pdb_kvs.Iter.valid () do
-    largest := index_it.Pdb_kvs.Iter.key ();
-    index_it.Pdb_kvs.Iter.next ()
-  done;
   let cache = Block_cache.create ~capacity:(1 lsl 16) in
   let it =
     iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read
@@ -510,4 +522,4 @@ let recover_meta env ~dir ~number =
   if not (it.Pdb_kvs.Iter.valid ()) then
     failwith (Printf.sprintf "Table.recover_meta %s: empty table" name);
   { number; file_size; entries; smallest = it.Pdb_kvs.Iter.key ();
-    largest = !largest }
+    largest = reader.keys.(Array.length reader.keys - 1) }

@@ -82,6 +82,11 @@ val open_via_summary :
     no filter is attached.  Loads a deferred filter on first use. *)
 val may_contain : reader -> string -> bool
 
+(** [may_contain_hashed r h1 h2] is [may_contain] for a key whose
+    {!Pdb_bloom.Bloom.hash1}/[hash2] are [h1]/[h2]: a get hashes its key
+    once for every table it probes. *)
+val may_contain_hashed : reader -> int -> int -> bool
+
 (** [may_contain_prefix r prefix] is [false] only when the table was built
     with [prefix_bloom_len = String.length prefix] and its filter proves no
     stored user key starts with [prefix]. *)

@@ -3,7 +3,9 @@
     Backs the block cache and table cache in the sstable substrate.  Each
     entry carries an integer weight (bytes); inserting past [capacity]
     evicts least-recently-used entries.  Implemented as a hash table over an
-    intrusive doubly-linked list. *)
+    intrusive doubly-linked list.  A hit through {!find_exn} allocates
+    nothing: each node holds its own [Some node], built once at insert,
+    so promoting it never boxes a fresh option. *)
 
 type ('k, 'v) node = {
   key : 'k;
@@ -11,6 +13,7 @@ type ('k, 'v) node = {
   mutable weight : int;
   mutable prev : ('k, 'v) node option;
   mutable next : ('k, 'v) node option;
+  mutable self : ('k, 'v) node option; (* [Some] this node *)
 }
 
 type ('k, 'v) t = {
@@ -49,9 +52,15 @@ let unlink t node =
 let push_front t node =
   node.next <- t.head;
   node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> ());
-  t.head <- Some node;
-  if t.tail = None then t.tail <- Some node
+  (match t.head with Some h -> h.prev <- node.self | None -> ());
+  t.head <- node.self;
+  match t.tail with None -> t.tail <- node.self | Some _ -> ()
+
+(* The node's own [Some]: [Hashtbl.find_opt] would box every hit. *)
+let lookup t k =
+  match Hashtbl.find t.table k with
+  | node -> node.self
+  | exception Not_found -> None
 
 let evict_one t =
   match t.tail with
@@ -62,17 +71,22 @@ let evict_one t =
     t.used <- t.used - node.weight;
     t.evictions <- t.evictions + 1
 
-(** [find t k] returns the cached value and promotes it to most recent. *)
-let find t k =
-  match Hashtbl.find_opt t.table k with
-  | Some node ->
+(** [find_exn t k] returns the cached value and promotes it to most
+    recent, allocating nothing.
+    @raise Not_found on a miss (counted as one). *)
+let find_exn t k =
+  match Hashtbl.find t.table k with
+  | node ->
     t.hits <- t.hits + 1;
     unlink t node;
     push_front t node;
-    Some node.value
-  | None ->
+    node.value
+  | exception Not_found ->
     t.misses <- t.misses + 1;
-    None
+    raise Not_found
+
+(** [find t k] is {!find_exn} as an option. *)
+let find t k = match find_exn t k with v -> Some v | exception Not_found -> None
 
 (** [mem t k] tests presence without affecting recency or hit counters. *)
 let mem t k = Hashtbl.mem t.table k
@@ -81,7 +95,7 @@ let mem t k = Hashtbl.mem t.table k
     the hit/miss counters — for accounting and opportunistic reads that
     must not distort cache statistics. *)
 let peek t k =
-  match Hashtbl.find_opt t.table k with
+  match lookup t k with
   | Some node -> Some node.value
   | None -> None
 
@@ -89,13 +103,16 @@ let peek t k =
     Entries heavier than the whole capacity are not cached. *)
 let insert t k v ~weight =
   if weight <= t.capacity then begin
-    (match Hashtbl.find_opt t.table k with
+    (match lookup t k with
      | Some old ->
        unlink t old;
        Hashtbl.remove t.table k;
        t.used <- t.used - old.weight
      | None -> ());
-    let node = { key = k; value = v; weight; prev = None; next = None } in
+    let node =
+      { key = k; value = v; weight; prev = None; next = None; self = None }
+    in
+    node.self <- Some node;
     Hashtbl.replace t.table k node;
     push_front t node;
     t.used <- t.used + weight;
@@ -110,7 +127,7 @@ let insert t k v ~weight =
     capacity evicts from the LRU end as usual (possibly the entry
     itself). *)
 let update_weight t k ~weight =
-  match Hashtbl.find_opt t.table k with
+  match lookup t k with
   | Some node ->
     t.used <- t.used - node.weight + weight;
     node.weight <- weight;
@@ -120,7 +137,7 @@ let update_weight t k ~weight =
   | None -> ()
 
 let remove t k =
-  match Hashtbl.find_opt t.table k with
+  match lookup t k with
   | Some node ->
     unlink t node;
     Hashtbl.remove t.table k;

@@ -263,6 +263,34 @@ let prop_same_user_key =
       Internal_key.same_user_key (ik a s1) (ik b s2) = String.equal a b
       && Internal_key.same_user_key (ik a s1) (ik a s2))
 
+let sign c = compare c 0
+
+let test_compare_user_edges () =
+  let ik k = Internal_key.encode ~user_key:k ~seq:7 ~kind:Internal_key.Value in
+  List.iter
+    (fun (a, u) ->
+      check Alcotest.int
+        (Printf.sprintf "compare_user %S %S" a u)
+        (sign (String.compare a u))
+        (sign (Internal_key.compare_user (ik a) u)))
+    [ ("", ""); ("", "a"); ("a", ""); ("ab", "abc"); ("abc", "ab");
+      ("abcdefgh", "abcdefghi"); ("abcdefghi", "abcdefgh");
+      ("abcdefgh1", "abcdefgh2"); ("\xff", "\x00"); ("same", "same") ]
+
+let prop_compare_user =
+  (* a two-letter alphabet makes equal keys and proper prefixes common *)
+  let key =
+    QCheck.(string_gen_of_size Gen.(0 -- 12) Gen.(oneofl [ 'a'; 'b' ]))
+  in
+  qtest "compare_user sign = String.compare of user key" ~count:500
+    QCheck.(triple key key small_nat)
+    (fun (a, u, seq) ->
+      let ikey =
+        Internal_key.encode ~user_key:a ~seq ~kind:Internal_key.Value
+      in
+      sign (Internal_key.compare_user ikey u)
+      = sign (String.compare (Internal_key.user_key ikey) u))
+
 (* ---------- Db_iter ---------- *)
 
 let ik k seq kind = Internal_key.encode ~user_key:k ~seq ~kind
@@ -320,6 +348,9 @@ let () =
           Alcotest.test_case "lookup key" `Quick test_ikey_lookup_key;
           prop_ikey_total_order;
           prop_same_user_key;
+          Alcotest.test_case "compare_user edges" `Quick
+            test_compare_user_edges;
+          prop_compare_user;
         ] );
       ( "write-batch",
         [

@@ -361,6 +361,86 @@ let prop_recovery_equals_pre_close =
       let db2 = open_tiny env in
       Hashtbl.fold (fun k v acc -> acc && L.get db2 k = Some v) model true)
 
+(* ---------- leveled locate ---------- *)
+
+module Ik = Pdb_kvs.Internal_key
+module Table = Pdb_sstable.Table
+
+(* A sorted, disjoint level: the distinct internal keys of [versions]
+   ((user key, seq) pairs), in order, cut into files of [sizes] entries.
+   Several versions of one user key may straddle a cut, so adjacent files
+   share a boundary user key. *)
+let level_of versions sizes =
+  let ikeys =
+    List.sort_uniq Ik.compare
+      (List.map (fun (u, s) -> Ik.encode ~user_key:u ~seq:s ~kind:Ik.Value)
+         versions)
+  in
+  let file number keys =
+    { Table.number; file_size = 0; entries = List.length keys;
+      smallest = List.hd keys; largest = List.nth keys (List.length keys - 1) }
+  in
+  let rec cut n keys sizes acc =
+    match keys with
+    | [] -> List.rev acc
+    | _ ->
+      let size, sizes =
+        match sizes with s :: rest -> (1 + s, rest) | [] -> (1, [])
+      in
+      let chunk = List.filteri (fun i _ -> i < size) keys in
+      let rest = List.filteri (fun i _ -> i >= size) keys in
+      cut (n + 1) rest sizes (file n chunk :: acc)
+  in
+  cut 1 ikeys sizes []
+
+(* the search the binary locate replaced: the first file whose user-key
+   range holds [key] *)
+let reference_locate files key =
+  List.find_opt
+    (fun (m : Table.meta) ->
+      String.compare (Ik.user_key m.Table.smallest) key <= 0
+      && String.compare key (Ik.user_key m.Table.largest) <= 0)
+    files
+
+let prop_locate_matches_linear =
+  let user =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 4))
+  in
+  qtest "binary locate = first overlapping file" ~count:300
+    QCheck.(
+      triple
+        (make Gen.(list_size (0 -- 40) (pair user (0 -- 5))))
+        (list_of_size Gen.(0 -- 20) (int_bound 3))
+        (make Gen.(list_size (1 -- 20) user)))
+    (fun (versions, sizes, probes) ->
+      let files = level_of versions sizes in
+      let arr = Array.of_list files in
+      List.for_all
+        (fun key ->
+          let expected = reference_locate files key in
+          let i = L.locate arr key in
+          match expected with
+          | None -> i = -1
+          | Some m -> i >= 0 && arr.(i) == m)
+        (probes @ List.map fst versions))
+
+let test_locate_shared_boundary () =
+  let ik u s = Ik.encode ~user_key:u ~seq:s ~kind:Ik.Value in
+  let meta number smallest largest =
+    { Table.number; file_size = 0; entries = 1; smallest; largest }
+  in
+  (* "k" has versions in all three files *)
+  let files =
+    [| meta 1 (ik "a" 1) (ik "k" 9); meta 2 (ik "k" 5) (ik "k" 3);
+       meta 3 (ik "k" 2) (ik "m" 1) |]
+  in
+  check Alcotest.int "shared key -> first holder" 0 (L.locate files "k");
+  check Alcotest.int "inside first" 0 (L.locate files "b");
+  check Alcotest.int "inside last" 2 (L.locate files "l");
+  check Alcotest.int "past the end" (-1) (L.locate files "z");
+  check Alcotest.int "before the start" (-1) (L.locate files "");
+  check Alcotest.int "empty level" (-1) (L.locate [||] "k")
+
 let () =
   Alcotest.run "lsm"
     [
@@ -414,5 +494,11 @@ let () =
           prop_model_random_ops;
           prop_iterator_matches_model;
           prop_recovery_equals_pre_close;
+        ] );
+      ( "locate",
+        [
+          Alcotest.test_case "shared boundary user key" `Quick
+            test_locate_shared_boundary;
+          prop_locate_matches_linear;
         ] );
     ]

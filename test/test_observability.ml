@@ -283,17 +283,30 @@ let test_evict_file_unit () =
   let open Pdb_sstable in
   let b = Block.Builder.create () in
   Block.Builder.add b "k" "v";
-  let block = Block.decode (Block.Builder.finish b) in
+  let raw = Block.Builder.finish b in
+  (* one block at offset 0 and, past padding, one at 4096 *)
+  let env = Env.create () in
+  let write name blocks =
+    let w = Env.create_file env name in
+    List.iter (Env.append w) blocks;
+    Env.close w
+  in
+  let pad = String.make (4096 - String.length raw) '\000' in
+  write "db/000001.sst" [ raw; pad; raw ];
+  write "db/000011.sst" [ raw ];
   let cache = Block_cache.create ~capacity:4096 in
   List.iter
-    (fun k -> Pdb_util.Lru.insert cache k block ~weight:16)
-    [ "db/000001.sst:0"; "db/000001.sst:4096"; "db/000011.sst:0" ];
+    (fun (file, offset) ->
+      ignore
+        (Block_cache.find_or_load cache env ~file ~offset
+           ~size:(String.length raw) ~hint:Pdb_simio.Device.Random_read))
+    [ ("db/000001.sst", 0); ("db/000001.sst", 4096); ("db/000011.sst", 0) ];
   Block_cache.evict_file cache ~file:"db/000001.sst";
   Alcotest.(check bool) "blocks of deleted file gone" true
-    (Pdb_util.Lru.find cache "db/000001.sst:0" = None
-    && Pdb_util.Lru.find cache "db/000001.sst:4096" = None);
+    ((not (Block_cache.mem cache ~file:"db/000001.sst" ~offset:0))
+    && not (Block_cache.mem cache ~file:"db/000001.sst" ~offset:4096));
   Alcotest.(check bool) "other files untouched" true
-    (Pdb_util.Lru.find cache "db/000011.sst:0" <> None)
+    (Block_cache.mem cache ~file:"db/000011.sst" ~offset:0)
 
 (* After compactions delete sstables, no cached block may reference a file
    that no longer exists: the regression the GC eviction fix closes. *)
@@ -308,11 +321,9 @@ let test_cache_files_live () =
   let check_no_stale msg =
     let live = Env.list env in
     let stale =
-      Pdb_util.Lru.fold cache
-        (fun acc k _ ->
-          let file = String.sub k 0 (String.rindex k ':') in
-          if List.mem file live then acc else file :: acc)
-        []
+      List.filter
+        (fun file -> not (List.mem file live))
+        (Pdb_sstable.Block_cache.resident_files cache)
     in
     Alcotest.(check (list string)) msg [] stale
   in

@@ -404,6 +404,185 @@ let prop_table_roundtrip =
         in
         Iter.to_list it = entries)
 
+(* ---------- block cache against a string-keyed reference ---------- *)
+
+(* The reference: a weighted LRU over ["file:offset"] keys, most recent
+   first, with the cache's admission and eviction rules. *)
+type model = { capacity : int; mutable entries : (string * int) list }
+
+let model_used m = List.fold_left (fun acc (_, w) -> acc + w) 0 m.entries
+
+let model_load m key ~weight =
+  match List.assoc_opt key m.entries with
+  | Some w ->
+    m.entries <- (key, w) :: List.remove_assoc key m.entries;
+    `Hit
+  | None ->
+    if weight <= m.capacity then begin
+      m.entries <- (key, weight) :: m.entries;
+      while model_used m > m.capacity do
+        let keep = List.length m.entries - 1 in
+        m.entries <- List.filteri (fun i _ -> i < keep) m.entries
+      done
+    end;
+    `Miss
+
+let model_evict_file m file =
+  let prefix = file ^ ":" in
+  m.entries <-
+    List.filter (fun (k, _) -> not (String.starts_with ~prefix k)) m.entries
+
+(* Four files of six blocks each, block sizes varying with the entry
+   count, so capacity evictions free different amounts. *)
+let cache_files env =
+  List.init 4 (fun f ->
+      let name = Printf.sprintf "db/%06d.sst" (f + 1) in
+      let w = Pdb_simio.Env.create_file env name in
+      let blocks =
+        List.init 6 (fun b ->
+            let raw =
+              Block.Builder.finish
+                (let bb = Block.Builder.create () in
+                 for i = 0 to (f + b) mod 5 do
+                   Block.Builder.add bb (Printf.sprintf "k%03d" i) "value"
+                 done;
+                 bb)
+            in
+            Pdb_simio.Env.append w raw;
+            String.length raw)
+      in
+      Pdb_simio.Env.close w;
+      let handles, _ =
+        List.fold_left
+          (fun (acc, off) size -> ((off, size) :: acc, off + size))
+          ([], 0) blocks
+      in
+      (name, Array.of_list (List.rev handles)))
+  |> Array.of_list
+
+let prop_block_cache_model =
+  qtest "block cache = string-keyed reference LRU" ~count:200
+    QCheck.(
+      pair (int_range 40 400)
+        (list_of_size Gen.(1 -- 120)
+           (triple (int_bound 9) (int_bound 3) (int_bound 5))))
+    (fun (capacity, ops) ->
+      let env = Pdb_simio.Env.create () in
+      let files = cache_files env in
+      let cache = Block_cache.create ~capacity in
+      let m = { capacity; entries = [] } in
+      List.for_all
+        (fun (op, f, b) ->
+          let name, blocks = files.(f) in
+          let agrees =
+            if op = 0 then begin
+              Block_cache.evict_file cache ~file:name;
+              model_evict_file m name;
+              true
+            end
+            else begin
+              let offset, size = blocks.(b) in
+              let _, got =
+                Block_cache.find_or_load cache env ~file:name ~offset ~size
+                  ~hint:Pdb_simio.Device.Random_read
+              in
+              got
+              = model_load m (Printf.sprintf "%s:%d" name offset) ~weight:size
+            end
+          in
+          let resident =
+            Array.for_all
+              (fun (name, blocks) ->
+                Array.for_all
+                  (fun (offset, _) ->
+                    Block_cache.mem cache ~file:name ~offset
+                    = List.mem_assoc (Printf.sprintf "%s:%d" name offset)
+                        m.entries)
+                  blocks)
+              files
+          in
+          let model_files =
+            Array.to_list files
+            |> List.filter (fun (name, _) ->
+                   List.exists
+                     (fun (k, _) -> String.starts_with ~prefix:(name ^ ":") k)
+                     m.entries)
+            |> List.map fst
+          in
+          agrees && resident
+          && Block_cache.used cache = model_used m
+          && Block_cache.resident_files cache = model_files)
+        ops)
+
+(* ---------- decoded index against the raw index block ---------- *)
+
+(* What a seek to [target] finds, read the way the format defines it: the
+   footer's index handle, a [Block.iterator] seek over the raw index, the
+   data block it names, a seek there. *)
+let reference_seek env (meta : Table.meta) target =
+  let name = Table.file_name ~dir:"db" meta.Table.number in
+  let read pos len =
+    Pdb_simio.Env.read env name ~pos ~len ~hint:Pdb_simio.Device.Random_read
+  in
+  let footer =
+    read (meta.Table.file_size - Table.footer_size) Table.footer_size
+  in
+  let index =
+    Block.decode
+      (read (Pdb_util.Varint.get_fixed32 footer 8)
+         (Pdb_util.Varint.get_fixed32 footer 12))
+  in
+  let it = Block.iterator ~compare:Ik.compare index in
+  it.Iter.seek target;
+  if not (it.Iter.valid ()) then None
+  else begin
+    let h = it.Iter.value () in
+    let offset, pos = Pdb_util.Varint.get_uvarint h 0 in
+    let size, _ = Pdb_util.Varint.get_uvarint h pos in
+    let data =
+      Block.iterator ~compare:Ik.compare (Block.decode (read offset size))
+    in
+    data.Iter.seek target;
+    if data.Iter.valid () then Some (data.Iter.key (), data.Iter.value ())
+    else None
+  end
+
+let prop_table_seeks_match_raw_index =
+  let user =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (1 -- 5))
+  in
+  qtest "Table.get/iterator seek = raw-index seek" ~count:60
+    QCheck.(
+      pair
+        (make Gen.(list_size (1 -- 200) (pair user (1 -- 4))))
+        (make Gen.(list_size (1 -- 30) (pair user (0 -- 5)))))
+    (fun (versions, targets) ->
+      let entries =
+        List.sort_uniq Ik.compare (List.map (fun (u, s) -> ikey u s) versions)
+        |> List.map (fun k ->
+               (k, Ik.user_key k ^ "=" ^ string_of_int (Ik.seq k)))
+      in
+      let env = Pdb_simio.Env.create () in
+      let meta = build_table env ~dir:"db" ~number:40 entries in
+      let reader = Table.open_reader env ~dir:"db" meta in
+      let cache = Block_cache.create ~capacity:(1 lsl 20) in
+      let it =
+        Table.iterator reader ~cache ~hint:Pdb_simio.Device.Random_read
+      in
+      List.for_all
+        (fun (u, s) ->
+          let target = ikey u s in
+          let expected = reference_seek env meta target in
+          it.Iter.seek target;
+          let from_iter =
+            if it.Iter.valid () then Some (it.Iter.key (), it.Iter.value ())
+            else None
+          in
+          Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read target
+          = expected
+          && from_iter = expected)
+        (targets @ [ ("zzzzzz", 0); ("", 0) ]))
+
 let () =
   Alcotest.run "sstable"
     [
@@ -434,6 +613,7 @@ let () =
           Alcotest.test_case "value slices" `Quick test_table_value_slices;
           Alcotest.test_case "add_slice writes the same bytes" `Quick
             test_table_add_slice_same_bytes;
+          prop_table_seeks_match_raw_index;
         ] );
       ( "caches",
         [
@@ -443,6 +623,7 @@ let () =
             test_table_cache_eviction_reopens;
           Alcotest.test_case "byte cache re-weighs on filter load" `Quick
             test_table_cache_reweigh_on_filter_load;
+          prop_block_cache_model;
         ] );
       ( "level-iter",
         [

@@ -183,6 +183,21 @@ let table_cache_find () =
         ignore (Pdb_sstable.Table_cache.find tc meta)
       done)
 
+(* env append 4KB x24 + close: the table-build pattern, 4 KB blocks
+   appended from a reused buffer into one 96 KB file. *)
+let env_append_close () =
+  let env = Pdb_simio.Env.create () in
+  let block = Buffer.create 4096 in
+  Buffer.add_string block (String.make 4096 'b');
+  let appends = 24 in
+  per_entry ~unit:"append" "env append 4KB x24 + close" ~entries:appends
+    ~reps:2000 (fun () ->
+      let w = Pdb_simio.Env.create_file env "bench" in
+      for _ = 1 to appends do
+        Pdb_simio.Env.append_buffer w block
+      done;
+      Pdb_simio.Env.close w)
+
 (* lsm level locate: the leveled get's search for the one file of a
    1 000-file level that may hold a key (hits, gaps and misses). *)
 let lsm_level_locate () =
@@ -330,6 +345,7 @@ let run_bechamel () =
       results
   in
   List.iter benchmark tests;
+  env_append_close ();
   compaction_merge ();
   merging_iter_next ();
   block_cache_evict_file ();

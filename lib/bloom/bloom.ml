@@ -30,17 +30,27 @@ let get_bit b i =
   Char.code (Bytes.get b byte) land (1 lsl bit) <> 0
 
 (* Kirsch–Mitzenmacher double hashing: probe [i] of a key is
-   [(h1 + i * h2) mod nbits]. *)
+   [((h1 + i * h2) land max_int) mod nbits].  With [h1, h2 < 2^32] and
+   [i < 30] the sum never overflows, so the positions are [h1 mod nbits]
+   stepped by [h2 mod nbits], wrapping at [nbits]: one [mod] per key
+   instead of one per probe. *)
 let hash1 s pos len = Pdb_util.Murmur3.hash32_range ~seed:0xbc9f1d34 s pos len
 let hash2 s pos len = Pdb_util.Murmur3.hash32_range ~seed:0x7a2d187e s pos len
-let probe t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
+
+(* The next probe position after [p] for a key whose step is [delta]. *)
+let step t p delta =
+  let p = p + delta in
+  if p >= t.nbits then p - t.nbits else p
 
 (** [add_range t s pos len] inserts the key held in bytes
     [[pos, pos + len)] of [s], hashing it in place. *)
 let add_range t s pos len =
   let h1 = hash1 s pos len and h2 = hash2 s pos len in
-  for i = 0 to t.k - 1 do
-    set_bit t.bits (probe t h1 h2 i)
+  let delta = h2 mod t.nbits in
+  let p = ref (h1 mod t.nbits) in
+  for _ = 1 to t.k do
+    set_bit t.bits !p;
+    p := step t !p delta
   done;
   t.nkeys <- t.nkeys + 1
 
@@ -50,8 +60,10 @@ let add t key = add_range t key 0 (String.length key)
 (** [mem_hashed t h1 h2] is [mem] for a key whose {!hash1}/{!hash2} are
     [h1]/[h2] — a get hashes its key once for every table it probes. *)
 let mem_hashed t h1 h2 =
-  let i = ref 0 in
-  while !i < t.k && get_bit t.bits (probe t h1 h2 !i) do
+  let delta = h2 mod t.nbits in
+  let p = ref (h1 mod t.nbits) and i = ref 0 in
+  while !i < t.k && get_bit t.bits !p do
+    p := step t !p delta;
     incr i
   done;
   !i = t.k
@@ -77,8 +89,14 @@ let encode t =
   Pdb_util.Varint.put_length_prefixed buf (Bytes.to_string t.bits);
   Buffer.contents buf
 
-let decode s =
-  let k, pos = Pdb_util.Varint.get_uvarint s 0 in
+(** [decode_view s ~pos] decodes the filter encoded at byte [pos] of [s],
+    copying only its bit array out. *)
+let decode_view s ~pos =
+  let k, pos = Pdb_util.Varint.get_uvarint s pos in
   let nkeys, pos = Pdb_util.Varint.get_uvarint s pos in
-  let bits, _ = Pdb_util.Varint.get_length_prefixed s pos in
-  { bits = Bytes.of_string bits; nbits = String.length bits * 8; k; nkeys }
+  let n, pos = Pdb_util.Varint.get_uvarint s pos in
+  if pos + n > String.length s then invalid_arg "Bloom.decode: truncated";
+  let bits = Bytes.sub (Bytes.unsafe_of_string s) pos n in
+  { bits; nbits = n * 8; k; nkeys }
+
+let decode s = decode_view s ~pos:0

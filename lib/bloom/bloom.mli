@@ -42,3 +42,7 @@ val nkeys : t -> int
 val encode : t -> string
 
 val decode : string -> t
+
+(** [decode_view s ~pos] decodes the filter encoded at byte [pos] of [s];
+    [decode s] is [decode_view s ~pos:0].  Only the bit array is copied. *)
+val decode_view : string -> pos:int -> t

@@ -146,11 +146,9 @@ let rec flush_memtable t =
         run =
           (fun () ->
             let builder = make_builder t in
-            List.iter
-              (fun (ik, v) ->
+            Pdb_kvs.Memtable.iter mem (fun ik v ->
                 Clock.advance t.clock t.opts.O.cpu_per_merge_entry_ns;
-                Table.Builder.add builder ik v)
-              (Pdb_kvs.Memtable.contents mem);
+                Table.Builder.add builder ik v);
             meta := Table.Builder.finish builder);
       };
     let meta = !meta in
@@ -963,15 +961,13 @@ let snapshot_edit ~(opts : O.t) ~l0 ~levels ~log_number ~next_file ~last_seq =
    may only be deleted once every record it held is durable again. *)
 let relog_memtable wal mem =
   if not (Pdb_kvs.Memtable.is_empty mem) then begin
-    List.iter
-      (fun (ik, v) ->
+    Pdb_kvs.Memtable.iter mem (fun ik v ->
         let b = Pdb_kvs.Write_batch.create () in
         (match Ik.kind ik with
          | Ik.Value -> Pdb_kvs.Write_batch.put b (Ik.user_key ik) v
          | Ik.Deletion -> Pdb_kvs.Write_batch.delete b (Ik.user_key ik));
         Wal.Writer.add_record wal
-          (Pdb_kvs.Write_batch.encode b ~base_seq:(Ik.seq ik)))
-      (Pdb_kvs.Memtable.contents mem);
+          (Pdb_kvs.Write_batch.encode b ~base_seq:(Ik.seq ik)));
     Wal.Writer.sync wal
   end
 

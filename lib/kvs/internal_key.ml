@@ -22,15 +22,14 @@ let trailer_size = 8
 
 (** [encode ~user_key ~seq ~kind] builds an encoded internal key. *)
 let encode ~user_key ~seq ~kind =
-  let buf = Buffer.create (String.length user_key + trailer_size) in
-  Buffer.add_string buf user_key;
-  let packed =
-    Int64.logor
-      (Int64.shift_left (Int64.of_int seq) 8)
-      (Int64.of_int (kind_to_int kind))
-  in
-  Pdb_util.Varint.put_fixed64 buf packed;
-  Buffer.contents buf
+  let n = String.length user_key in
+  let b = Bytes.create (n + trailer_size) in
+  Bytes.blit_string user_key 0 b 0 n;
+  Bytes.set_int64_le b n
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int seq) 8)
+       (Int64.of_int (kind_to_int kind)));
+  Bytes.unsafe_to_string b
 
 (** [user_key ikey] extracts the user portion. *)
 let user_key ikey =

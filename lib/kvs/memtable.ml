@@ -32,28 +32,26 @@ let add t ~seq ~kind ~user_key ~value =
              + per_entry_overhead;
   t.entries <- t.entries + 1
 
+(* The result for [user_key] of a seek that landed on [entry]. *)
+let found user_key = function
+  | Some (ikey, value) when Internal_key.compare_user ikey user_key = 0 -> (
+    match Internal_key.kind ikey with
+    | Internal_key.Value -> Some (Some value)
+    | Internal_key.Deletion -> Some None)
+  | Some _ | None -> None
+
 (** [get t user_key] is the freshest entry for [user_key]:
     [Some (Some v)] for a live value, [Some None] for a tombstone, [None]
     when the memtable holds no version of the key. *)
 let get t user_key =
-  match Pdb_skiplist.Skiplist.seek t.list (Internal_key.max_for_lookup user_key) with
-  | Some (ikey, value) when String.equal (Internal_key.user_key ikey) user_key
-    -> (match Internal_key.kind ikey with
-        | Internal_key.Value -> Some (Some value)
-        | Internal_key.Deletion -> Some None)
-  | Some _ | None -> None
+  found user_key
+    (Pdb_skiplist.Skiplist.seek t.list (Internal_key.max_for_lookup user_key))
 
 (** [get_at t user_key ~seq] is the freshest entry visible at sequence
     number [seq] (snapshot reads); same result shape as {!get}. *)
 let get_at t user_key ~seq =
-  match
-    Pdb_skiplist.Skiplist.seek t.list (Internal_key.lookup_at ~user_key ~seq)
-  with
-  | Some (ikey, value) when String.equal (Internal_key.user_key ikey) user_key
-    -> (match Internal_key.kind ikey with
-        | Internal_key.Value -> Some (Some value)
-        | Internal_key.Deletion -> Some None)
-  | Some _ | None -> None
+  found user_key
+    (Pdb_skiplist.Skiplist.seek t.list (Internal_key.lookup_at ~user_key ~seq))
 
 let approximate_bytes t = t.bytes
 let entries t = t.entries
@@ -73,6 +71,6 @@ let iterator t =
     value_slice = Iter.slice_of_value value;
   }
 
-(** [contents t] lists all (internal key, value) entries in order — used by
-    flush. *)
-let contents t = Pdb_skiplist.Skiplist.to_list t.list
+(** [iter t f] applies [f] to every (internal key, value) entry in order —
+    used by flush and WAL re-logging. *)
+let iter t f = Pdb_skiplist.Skiplist.iter t.list f

@@ -121,23 +121,28 @@ let tiered_layout ~policy ~opts level =
 
 let tiered_level t level = tiered_layout ~policy:t.policy ~opts:t.opts level
 
-let sort_newest_first files =
-  List.sort
-    (fun (a : Table.meta) (b : Table.meta) ->
-      Int.compare b.Table.number a.Table.number)
-    files
+let newest_first (a : Table.meta) (b : Table.meta) =
+  Int.compare b.Table.number a.Table.number
 
-let sort_by_smallest files =
-  List.sort
-    (fun (a : Table.meta) (b : Table.meta) ->
-      Ik.compare a.Table.smallest b.Table.smallest)
-    files
+let by_smallest (a : Table.meta) (b : Table.meta) =
+  Ik.compare a.Table.smallest b.Table.smallest
 
-(* canonical resident order of a level under the active policy *)
+(* canonical resident order of a level under the active policy: newest
+   first for level 0 and tiered levels, by smallest key for leveled ones *)
+let level_order ~policy ~opts level =
+  if level = 0 || tiered_layout ~policy ~opts level then newest_first
+  else by_smallest
+
 let sort_for_level ~policy ~opts level files =
-  if level = 0 || tiered_layout ~policy ~opts level then
-    sort_newest_first files
-  else sort_by_smallest files
+  List.sort (level_order ~policy ~opts level) files
+
+(* [install_into_level ~policy ~opts level added resident] is
+   [sort_for_level ~policy ~opts level (added @ resident)] for a
+   [resident] list already in the level's order: the few added files are
+   sorted and merged in, without re-sorting the level. *)
+let install_into_level ~policy ~opts level added resident =
+  let order = level_order ~policy ~opts level in
+  List.merge order (List.sort order added) resident
 
 (* ---------- obsolete-file garbage collection ---------- *)
 
@@ -255,15 +260,13 @@ let replay_wal env ~dir ~wal_number ~mem ~last_seq =
    MANIFEST no longer names. *)
 let relog_memtable wal mem =
   if not (Pdb_kvs.Memtable.is_empty mem) then begin
-    List.iter
-      (fun (ik, v) ->
+    Pdb_kvs.Memtable.iter mem (fun ik v ->
         let b = Pdb_kvs.Write_batch.create () in
         (match Ik.kind ik with
          | Ik.Value -> Pdb_kvs.Write_batch.put b (Ik.user_key ik) v
          | Ik.Deletion -> Pdb_kvs.Write_batch.delete b (Ik.user_key ik));
         Wal.Writer.add_record wal
-          (Pdb_kvs.Write_batch.encode b ~base_seq:(Ik.seq ik)))
-      (Pdb_kvs.Memtable.contents mem);
+          (Pdb_kvs.Write_batch.encode b ~base_seq:(Ik.seq ik)));
     Wal.Writer.sync wal
   end
 
@@ -299,10 +302,8 @@ let rec flush_memtable t =
         run =
           (fun () ->
             meta :=
-              build_table_from_iter t ~level:0 ~iter:(fun f ->
-                  List.iter
-                    (fun (ik, v) -> f ik v)
-                    (Pdb_kvs.Memtable.contents mem)));
+              build_table_from_iter t ~level:0
+                ~iter:(Pdb_kvs.Memtable.iter mem));
       };
     let meta = !meta in
     (match meta with
@@ -557,11 +558,10 @@ and install_compaction t ~level ~inputs_lo ~inputs_hi ~outputs =
       (fun (m : Table.meta) -> not (List.mem m.Table.number in_lo))
       t.levels.(level);
   t.levels.(target) <-
-    sort_for_level ~policy:t.policy ~opts:t.opts target
-      (outputs
-       @ List.filter
-           (fun (m : Table.meta) -> not (List.mem m.Table.number in_hi))
-           t.levels.(target));
+    install_into_level ~policy:t.policy ~opts:t.opts target outputs
+      (List.filter
+         (fun (m : Table.meta) -> not (List.mem m.Table.number in_hi))
+         t.levels.(target));
   (* manifest edit *)
   let e = Manifest.empty_edit () in
   e.Manifest.next_file_number <- Some t.next_file;
@@ -618,8 +618,8 @@ and compact_level t level =
           (fun (m : Table.meta) -> m.Table.number <> single.Table.number)
           t.levels.(level);
       t.levels.(target) <-
-        sort_for_level ~policy:t.policy ~opts:t.opts target
-          (single :: t.levels.(target));
+        install_into_level ~policy:t.policy ~opts:t.opts target [ single ]
+          t.levels.(target);
       let e = Manifest.empty_edit () in
       e.Manifest.deleted_files <- [ (level, single.Table.number) ];
       e.Manifest.added_files <- [ (target, single) ];

@@ -65,20 +65,23 @@ end
 
 (* A file is a sequence of extents, each a slice of an immutable string,
    with its start offset alongside so a read finds its first extent by
-   binary search.  [append] stores the appended string itself as the next
-   extent, so a read of exactly that range returns it with no copy.  No
+   binary search, followed by a pending tail: the bytes appended since the
+   tail was last materialized, held in a writer-owned [Buffer.t].  No
    string is ever mutated: crash truncation drops or shortens extents,
    and positioned writes and torn-tail garbling replace the bytes they
    cover with a new extent, keeping the uncovered parts of the extents
    around it as slices of the same strings.  Invariants: [starts.(0) = 0],
    every extent is non-empty, and extent [i + 1] starts where extent [i]
-   ends, so the last one ends at [len]. *)
+   ends, so the last one ends at [len]; the pending tail follows [len].
+   Every operation that looks at the extents materializes the tail
+   first. *)
 type file = {
   mutable starts : int array;
   mutable exts : string array;
   mutable offs : int array;  (** where in [exts.(i)] extent [i] begins *)
   mutable n : int;  (** extents in use *)
-  mutable len : int;
+  mutable len : int;  (** bytes in extents *)
+  mutable tail : Buffer.t option;  (** pending bytes, after [len] *)
   mutable synced : int;
   mutable ever_synced : bool;
       (* distinct from [synced = 0]: a file synced while empty is durable
@@ -86,8 +89,21 @@ type file = {
 }
 
 let new_file ~ever_synced =
-  { starts = [||]; exts = [||]; offs = [||]; n = 0; len = 0; synced = 0;
-    ever_synced }
+  { starts = [||]; exts = [||]; offs = [||]; n = 0; len = 0; tail = None;
+    synced = 0; ever_synced }
+
+(* A pending tail becomes an extent once it would pass [tail_bytes].  The
+   constant sits below glibc's default 128 KB mmap threshold, so every
+   materialized extent is a plain heap allocation rather than fresh pages,
+   and above the default 64 KB memtable's WAL, so a rotated log is deleted
+   before it is ever materialized.  An append at least this long becomes
+   an extent by itself. *)
+let tail_bytes = 96 * 1024
+
+let pending f = match f.tail with Some b -> Buffer.length b | None -> 0
+
+(* Logical size: extents plus the pending tail. *)
+let size f = f.len + pending f
 
 let extent_len f i =
   (if i + 1 < f.n then f.starts.(i + 1) else f.len) - f.starts.(i)
@@ -115,6 +131,14 @@ let push f s =
   f.n <- f.n + 1;
   f.len <- f.len + String.length s
 
+(* Move the pending tail into one exact-size extent. *)
+let materialize f =
+  match f.tail with
+  | Some b when Buffer.length b > 0 ->
+    push f (Buffer.contents b);
+    Buffer.clear b
+  | _ -> ()
+
 (* Index of the extent holding byte [pos], for [0 <= pos < f.len]. *)
 let extent_at f pos =
   let lo = ref 0 and hi = ref (f.n - 1) in
@@ -125,7 +149,7 @@ let extent_at f pos =
   !lo
 
 (* Bytes [pos, pos + len) of [f], already bounds-checked.  A range that is
-   exactly one whole appended string is returned without a copy. *)
+   exactly one whole extent string is returned without a copy. *)
 let contents f ~pos ~len =
   if len = 0 then ""
   else begin
@@ -146,6 +170,18 @@ let contents f ~pos ~len =
       done;
       Bytes.unsafe_to_string b
     end
+  end
+
+(* The backing string of bytes [pos, pos + len) of [f] and the range's
+   offset in it, already bounds-checked: a range inside one extent is
+   returned in place, any other is copied out. *)
+let view f ~pos ~len =
+  if len = 0 then ("", 0)
+  else begin
+    let i = extent_at f pos in
+    let skip = pos - f.starts.(i) in
+    if skip + len <= extent_len f i then (f.exts.(i), f.offs.(i) + skip)
+    else (contents f ~pos ~len, 0)
   end
 
 (* Drop everything from byte [n] on ([n <= f.len]). *)
@@ -220,7 +256,11 @@ type t = {
   mutable atomic_depth : int;
   mutable pending_crash : string option;
   mutable tracer : Trace.t option;
+  mutable free_tails : Buffer.t list;  (** emptied tails, for reuse *)
 }
+
+(* At most this many emptied tails wait for reuse. *)
+let max_free_tails = 8
 
 type writer = { env : t; name : string; file : file }
 
@@ -234,6 +274,7 @@ let create ?(device = Device.ssd ()) () =
     atomic_depth = 0;
     pending_crash = None;
     tracer = None;
+    free_tails = [];
   }
 
 let stats t = t.stats
@@ -303,6 +344,23 @@ let find t name =
   | Some f -> f
   | None -> raise (Sys_error (name ^ ": no such simulated file"))
 
+(* [find] for an operation that looks at the file's bytes. *)
+let observe t name =
+  let f = find t name in
+  materialize f;
+  f
+
+(* Detach [f]'s tail, dropping its pending bytes, and keep the emptied
+   buffer for the next writer. *)
+let release t f =
+  match f.tail with
+  | Some b ->
+    f.tail <- None;
+    Buffer.clear b;
+    if List.compare_length_with t.free_tails max_free_tails < 0 then
+      t.free_tails <- b :: t.free_tails
+  | None -> ()
+
 (** [create_file t name] opens [name] for appending, truncating any existing
     contents.  Truncating an already-durable name keeps the directory entry
     durable (the file survives a crash, empty); a brand-new name stays
@@ -310,7 +368,9 @@ let find t name =
 let create_file t name =
   let ever_synced =
     match Hashtbl.find_opt t.files name with
-    | Some f -> f.ever_synced
+    | Some f ->
+      release t f;
+      f.ever_synced
     | None -> false
   in
   let file = new_file ~ever_synced in
@@ -319,37 +379,80 @@ let create_file t name =
   tick_op t "create:" name;
   { env = t; name; file }
 
-(** [append w s] appends [s] as one extent, without copying it; charges
-    sequential write cost. *)
+(* The writer's tail with room for [n] more bytes: a tail that would pass
+   [tail_bytes] is materialized first, and a file without one takes an
+   emptied buffer from the free list. *)
+let tail_for w n =
+  let f = w.file in
+  match f.tail with
+  | Some b ->
+    if Buffer.length b + n > tail_bytes then materialize f;
+    b
+  | None ->
+    let b =
+      match w.env.free_tails with
+      | b :: rest ->
+        w.env.free_tails <- rest;
+        b
+      | [] -> Buffer.create tail_bytes
+    in
+    f.tail <- Some b;
+    b
+
+(* The accounting of one append of [n] bytes: stats, device time, then the
+   fault tick. *)
+let charge_append w n =
+  let st = w.env.stats in
+  st.bytes_written <- st.bytes_written + n;
+  st.write_ops <- st.write_ops + 1;
+  Clock.advance w.env.clock (Device.write_cost w.env.device ~bytes:n);
+  tick_op w.env "append:" w.name
+
+(** [append w s] copies [s] into the file's pending tail; an [s] of at
+    least [tail_bytes] becomes an extent by itself, without a copy.
+    Charges sequential write cost. *)
 let append w s =
   let n = String.length s in
   if n > 0 then begin
-    push w.file s;
-    let st = w.env.stats in
-    st.bytes_written <- st.bytes_written + n;
-    st.write_ops <- st.write_ops + 1;
-    Clock.advance w.env.clock (Device.write_cost w.env.device ~bytes:n);
-    tick_op w.env "append:" w.name
+    if n >= tail_bytes then begin
+      materialize w.file;
+      push w.file s
+    end
+    else Buffer.add_string (tail_for w n) s;
+    charge_append w n
   end
 
-(** [append_buffer w buf] appends the contents of [buf] — one copy, into
-    the new extent — so a writer can reuse one buffer across appends. *)
+(** [append_buffer w buf] is [append w (Buffer.contents buf)] without the
+    intermediate string: [buf]'s bytes are copied into the pending tail, and
+    [buf] is left unchanged, so a writer can clear and reuse it. *)
 let append_buffer w buf =
-  if Buffer.length buf > 0 then append w (Buffer.contents buf)
+  let n = Buffer.length buf in
+  if n > 0 then begin
+    if n >= tail_bytes then begin
+      materialize w.file;
+      push w.file (Buffer.contents buf)
+    end
+    else Buffer.add_buffer (tail_for w n) buf;
+    charge_append w n
+  end
 
 (** [sync w] makes the file contents durable. *)
 let sync w =
+  materialize w.file;
   w.file.synced <- w.file.len;
   w.file.ever_synced <- true;
   w.env.stats.syncs <- w.env.stats.syncs + 1;
   Clock.advance w.env.clock (Device.sync_cost w.env.device);
   tick_op w.env "sync:" w.name
 
-(** [close w] closes the writer (contents remain; unsynced data stays
+(** [close w] closes the writer: its tail is materialized and the buffer
+    goes back to the free list (contents remain; unsynced data stays
     volatile until the next [sync] on a new writer or a crash). *)
-let close (_ : writer) = ()
+let close w =
+  materialize w.file;
+  release w.env w.file
 
-let writer_size w = w.file.len
+let writer_size w = size w.file
 
 (** [write_at t name ~pos s] overwrites bytes at [pos] (extending the file
     with zeroes as needed) — the random-write path used by the page-based
@@ -361,7 +464,9 @@ let write_at t name ~pos s =
     invalid_arg (Printf.sprintf "Env.write_at %s: negative position" name);
   let f =
     match Hashtbl.find_opt t.files name with
-    | Some f -> f
+    | Some f ->
+      materialize f;
+      f
     | None ->
       let f = new_file ~ever_synced:false in
       Hashtbl.replace t.files name f;
@@ -383,56 +488,67 @@ let write_at t name ~pos s =
 
 let exists t name = Hashtbl.mem t.files name
 
-let file_size t name = (find t name).len
+let file_size t name = (observe t name).len
+
+(* The file behind a read of [pos, pos + len) by [op], materialized and
+   bounds-checked. *)
+let observe_range t op name ~pos ~len =
+  let f = observe t name in
+  if pos < 0 || len < 0 || pos + len > f.len then
+    invalid_arg
+      (Printf.sprintf "Env.%s %s: [%d,%d) out of bounds (size %d)" op name pos
+         (pos + len) f.len);
+  f
 
 (** [peek t name ~pos ~len] reads a range without charging device time or
     IO stats — the sendfile-style path replication shipping uses, where
     the primary streams file bytes it just wrote (still page-cache
     resident) onto the wire.  The network link charges the transfer. *)
 let peek t name ~pos ~len =
-  let f = find t name in
-  if pos < 0 || len < 0 || pos + len > f.len then
-    invalid_arg
-      (Printf.sprintf "Env.peek %s: [%d,%d) out of bounds (size %d)" name pos
-         (pos + len) f.len);
-  contents f ~pos ~len
+  contents (observe_range t "peek" name ~pos ~len) ~pos ~len
 
 (** [io_event t label] registers an external IO event (e.g. a replication
     ship) with the fault-injection plan, so crash sweeps land between and
     inside shipping steps exactly as they do between file operations. *)
 let io_event t label = tick t label
 
+(* The file behind a device read, charged per the read [hint]. *)
+let charged_read t op name ~pos ~len ~hint =
+  let f = observe_range t op name ~pos ~len in
+  t.stats.bytes_read <- t.stats.bytes_read + len;
+  t.stats.read_ops <- t.stats.read_ops + 1;
+  Clock.advance t.clock (Device.read_cost t.device ~hint ~bytes:len);
+  f
+
 (** [read t name ~pos ~len ~hint] reads a range, charging device cost per
     the read [hint].  Cached layers above this module avoid calling it for
     cache hits. *)
 let read t name ~pos ~len ~hint =
-  let f = find t name in
-  if pos < 0 || len < 0 || pos + len > f.len then
-    invalid_arg
-      (Printf.sprintf "Env.read %s: [%d,%d) out of bounds (size %d)" name pos
-         (pos + len) f.len);
-  t.stats.bytes_read <- t.stats.bytes_read + len;
-  t.stats.read_ops <- t.stats.read_ops + 1;
-  Clock.advance t.clock (Device.read_cost t.device ~hint ~bytes:len);
-  contents f ~pos ~len
+  contents (charged_read t "read" name ~pos ~len ~hint) ~pos ~len
 
-let read_all t name ~hint =
-  let f = find t name in
-  read t name ~pos:0 ~len:f.len ~hint
+(** [read_view t name ~pos ~len ~hint] is [read] returning the range as a
+    backing string and its offset in it: a range inside one extent is not
+    copied. *)
+let read_view t name ~pos ~len ~hint =
+  view (charged_read t "read_view" name ~pos ~len ~hint) ~pos ~len
+
+let read_all t name ~hint = read t name ~pos:0 ~len:(file_size t name) ~hint
 
 let delete t name =
-  if Hashtbl.mem t.files name then begin
+  match Hashtbl.find_opt t.files name with
+  | Some f ->
+    release t f;
     Hashtbl.remove t.files name;
     t.stats.files_deleted <- t.stats.files_deleted + 1;
     tick_op t "delete:" name
-  end
+  | None -> ()
 
 (** [rename t ~src ~dst] atomically renames a file.  Like ext4's
     replace-via-rename heuristic, the rename implies a flush: the file's
     contents at rename time become durable under the new name, so a
     freshly installed MANIFEST or CURRENT cannot vanish at a crash. *)
 let rename t ~src ~dst =
-  let f = find t src in
+  let f = observe t src in
   Hashtbl.remove t.files src;
   Hashtbl.replace t.files dst f;
   f.synced <- f.len;
@@ -443,10 +559,10 @@ let rename t ~src ~dst =
 
 let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
 
-(** Total bytes stored across all files — used for space-amplification
-    measurements (Figure 5.3). *)
+(** Total bytes stored across all files, pending tails included —
+    used for space-amplification measurements (Figure 5.3). *)
 let total_file_bytes t =
-  Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
+  Hashtbl.fold (fun _ f acc -> acc + size f) t.files 0
 
 (* Flip a handful of random bits in bytes [lo, hi) of [f] — the garbage a
    torn page leaves behind.  The garbled range becomes a fresh extent, so
@@ -482,6 +598,10 @@ let crash t =
   List.iter
     (fun name ->
       let f = Hashtbl.find t.files name in
+      (* the crash ends every writer: whatever they appended is part of
+         the file the torn-write model truncates *)
+      materialize f;
+      release t f;
       let keep_file, base =
         if f.ever_synced then (true, f.synced)
         else

@@ -21,12 +21,19 @@
     up to a block-granular prefix, possibly with a garbled tail.  See the
     "Crash & durability model" section of DESIGN.md.
 
-    Storage: a file is a sequence of extents, slices of immutable strings.
-    An appended string becomes one extent as it is, never copied; a
-    {!read} or {!peek} of exactly that range returns the string itself.
-    Returned strings are shared with the file and are immutable: crash
-    truncation, torn-tail garbling and {!write_at} replace or shorten
-    extents and never edit a string already handed out. *)
+    Storage: a file is a sequence of extents, slices of immutable strings,
+    followed by a pending tail.  {!append} and {!append_buffer} copy into
+    the tail, a buffer taken from a small free list in the environment;
+    the tail becomes one exact-size extent when it would pass 96 KB, or
+    when the file is observed ({!sync}, {!close}, {!read}, {!read_view},
+    {!peek}, {!file_size}, {!read_all}, {!rename}, {!write_at} or
+    {!crash}).  A string of at least 96 KB passed to {!append} becomes an
+    extent by itself, without a copy.  {!read_view} returns a range inside one extent in
+    place; {!read} and {!peek} return a whole extent itself and copy any
+    other range.  Returned strings are shared with the file and are
+    immutable: crash truncation, torn-tail garbling and {!write_at}
+    replace or shorten extents and never edit a string already handed
+    out. *)
 
 (** Raised at an armed fault-plan injection point, out of whatever store
     code performed the IO.  The environment is left exactly as the crash
@@ -102,23 +109,32 @@ val with_atomic : t -> (unit -> 'a) -> 'a
 (** [create_file t name] opens [name] for appending, truncating any
     existing contents.  Truncating an already-durable name keeps the
     directory entry durable (the file survives a crash, empty); a
-    brand-new name stays volatile until the first sync. *)
+    brand-new name stays volatile until the first sync.  A replaced
+    file's pending tail is dropped and its buffer goes back to the free
+    list. *)
 val create_file : t -> string -> writer
 
-(** [append w s] appends [s]; charges sequential write cost.  [s] itself
-    becomes the file's next extent — it is not copied. *)
+(** [append w s] appends [s]; charges sequential write cost.  [s] is
+    copied into the file's pending tail, unless it is at least 96 KB long:
+    then it becomes the file's next extent itself. *)
 val append : writer -> string -> unit
 
 (** [append_buffer w buf] appends the current contents of [buf], exactly
     like [append w (Buffer.contents buf)]: one device write, one fault
-    tick, and the one copy out of [buf] becomes the new extent.  [buf] is
-    left unchanged, so a writer can clear and reuse it. *)
+    tick, with [buf]'s bytes copied straight into the pending tail.  [buf]
+    is left unchanged, so a writer can clear and reuse it. *)
 val append_buffer : writer -> Buffer.t -> unit
 
 (** [sync w] makes the file contents crash-durable; charges fsync cost. *)
 val sync : writer -> unit
 
+(** [close w] materializes the pending tail and returns its buffer to the
+    environment's free list.  The contents remain. *)
 val close : writer -> unit
+
+(** [writer_size w] is the file's size, pending bytes included; it does
+    not materialize the tail.  Once the file is deleted or replaced by
+    {!create_file}, its dropped tail no longer counts. *)
 val writer_size : writer -> int
 
 (** [write_at t name ~pos s] overwrites bytes at [pos], extending the file
@@ -132,13 +148,22 @@ val exists : t -> string -> bool
 val file_size : t -> string -> int
 
 (** [read t name ~pos ~len ~hint] reads a range, charging device cost per
-    the read [hint].  A range that is exactly one appended extent (for
-    example an sstable block read back by its handle) is returned without
-    a copy; any other range is copied out.  The result is shared and must
-    not be mutated.
+    the read [hint].  A range that is exactly one extent is returned
+    without a copy; any other range is copied out.  The result is shared
+    and must not be mutated.
     @raise Invalid_argument on an out-of-bounds range.
     @raise Sys_error when the file does not exist. *)
 val read : t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string
+
+(** [read_view t name ~pos ~len ~hint] is {!read} returning [(s, off)],
+    the range being bytes [[off, off + len)] of [s], with the same
+    charges.  A range inside one extent (an sstable block read back by its
+    handle) is returned in place: [s] is the extent's backing string,
+    shared and immutable.  Any other range is copied, with [off = 0].
+    @raise Invalid_argument on an out-of-bounds range.
+    @raise Sys_error when the file does not exist. *)
+val read_view :
+  t -> string -> pos:int -> len:int -> hint:Device.read_hint -> string * int
 
 (** [peek t name ~pos ~len] reads a range without charging device time or
     IO stats — the sendfile-style path replication uses to put freshly
@@ -155,6 +180,9 @@ val peek : t -> string -> pos:int -> len:int -> string
 val io_event : t -> string -> unit
 
 val read_all : t -> string -> hint:Device.read_hint -> string
+
+(** [delete t name] removes [name].  Its pending tail is dropped without
+    being materialized, and the buffer goes back to the free list. *)
 val delete : t -> string -> unit
 
 (** [rename t ~src ~dst] atomically renames a file; the rename implies a
@@ -165,8 +193,9 @@ val rename : t -> src:string -> dst:string -> unit
 (** All live file names (unordered). *)
 val list : t -> string list
 
-(** Total bytes stored across all files — the space-amplification
-    numerator (Figure 5.3). *)
+(** Total bytes stored across all files, pending tails included (they
+    are not materialized) — the space-amplification numerator
+    (Figure 5.3). *)
 val total_file_bytes : t -> int
 
 (** [crash t] simulates a power failure: every file loses its unsynced

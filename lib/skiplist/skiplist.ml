@@ -24,6 +24,8 @@ type ('k, 'v) t = {
   mutable head : ('k, 'v) node; (* sentinel; key/value unused *)
   mutable height : int;
   mutable length : int;
+  prev : ('k, 'v) node array;
+      (* scratch for [find_predecessors], reused by every insert and seek *)
 }
 
 let branching = 4
@@ -40,6 +42,7 @@ let create ?(max_height = 12) ?(seed = 0x5eed) ~compare dummy_key dummy_value =
     head;
     height = 1;
     length = 0;
+    prev = Array.make max_height head;
   }
 
 let length t = t.length
@@ -51,9 +54,11 @@ let random_height t =
   in
   go 1
 
-(* Find, for each list level, the last node whose key is < [key]. *)
+(* Find, for each list level below [t.height], the last node whose key is
+   < [key], into [t.prev] (returned); the entries at and above [t.height]
+   are stale.  The next call overwrites it. *)
 let find_predecessors t key =
-  let prev = Array.make t.max_height t.head in
+  let prev = t.prev in
   let rec descend node level =
     let next = node.forward.(level) in
     match next with

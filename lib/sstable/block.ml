@@ -83,25 +83,32 @@ module Builder = struct
     t.entries <- 0
 end
 
-(** Decoded view over a serialised block. *)
+(** Decoded view over a serialised block held in [data] from [base] on,
+    read in place.  Offsets below are positions in [data]; the block ends
+    after the restart array and its count. *)
 type t = {
   data : string;
-  restarts_offset : int;
+  base : int;
+  restarts_offset : int;  (** where the restart array starts *)
   num_restarts : int;
 }
 
-let decode data =
-  let len = String.length data in
+let decode_view data ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length data then
+    invalid_arg "Block.decode_view: range out of bounds";
   if len < 4 then invalid_arg "Block.decode: too short";
-  let num_restarts = Pdb_util.Varint.get_fixed32 data (len - 4) in
-  let restarts_offset = len - 4 - (4 * num_restarts) in
-  if restarts_offset < 0 then invalid_arg "Block.decode: corrupt restarts";
-  { data; restarts_offset; num_restarts }
+  let num_restarts = Pdb_util.Varint.get_fixed32 data (pos + len - 4) in
+  let restarts_offset = pos + len - 4 - (4 * num_restarts) in
+  if restarts_offset < pos then invalid_arg "Block.decode: corrupt restarts";
+  { data; base = pos; restarts_offset; num_restarts }
 
-let size_bytes t = String.length t.data
+let decode data = decode_view data ~pos:0 ~len:(String.length data)
 
+let size_bytes t = t.restarts_offset + (4 * t.num_restarts) + 4 - t.base
+
+(* Restart offsets are stored relative to the block's start. *)
 let restart_point t i =
-  Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
+  t.base + Pdb_util.Varint.get_fixed32 t.data (t.restarts_offset + (4 * i))
 
 (* The iterator's position: the current entry's key, where its value
    lies, and the offset of the entry after it.  [cursor] is the varint

@@ -40,6 +40,13 @@ type t
 (** @raise Invalid_argument on a corrupt block. *)
 val decode : string -> t
 
+(** [decode_view s ~pos ~len] decodes the block held in bytes
+    [[pos, pos + len)] of [s] in place: entries and restarts are read from
+    [s] itself, which must not change.  [decode s] is
+    [decode_view s ~pos:0 ~len:(String.length s)].
+    @raise Invalid_argument on a corrupt block or an out-of-bounds range. *)
+val decode_view : string -> pos:int -> len:int -> t
+
 val size_bytes : t -> int
 
 (** [iterator ~compare t] walks the block's entries; [compare] orders the

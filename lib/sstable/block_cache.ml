@@ -54,15 +54,17 @@ let record t (f : file) offset =
 
 (** [find_or_load t env ~file ~offset ~size ~hint] returns the decoded
     block, reading it from the environment (and charging device time) only
-    on a miss. *)
+    on a miss.  The block is a view into the file's own string. *)
 let find_or_load t env ~file ~offset ~size ~hint =
   let f = intern t file in
   let k = lru_key f offset in
   match Pdb_util.Lru.find_exn t.lru k with
   | block -> (block, `Hit)
   | exception Not_found ->
-    let raw = Pdb_simio.Env.read env file ~pos:offset ~len:size ~hint in
-    let block = Block.decode raw in
+    let data, pos =
+      Pdb_simio.Env.read_view env file ~pos:offset ~len:size ~hint
+    in
+    let block = Block.decode_view data ~pos ~len:size in
     Pdb_util.Lru.insert t.lru k block ~weight:size;
     record t f offset;
     (block, `Miss)

@@ -92,8 +92,8 @@ module Builder = struct
       scratch = Buffer.create footer_size;
     }
 
-  (* Append [buf] as one extent, so a read by the returned handle gets it
-     back without a copy. *)
+  (* Append [buf] in one write, so the block lands inside one extent and a
+     [read_view] by the returned handle decodes it in place. *)
   let write_buffer t buf =
     Pdb_simio.Env.append_buffer t.writer buf;
     let h = { offset = t.offset; size = Buffer.length buf } in
@@ -246,15 +246,24 @@ type reader = {
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
 
-(* Decode a raw index block into its keys and handles, in order. *)
-let decode_index raw =
-  let it = Block.iterator ~compare:ikey_compare (Block.decode raw) in
+(* Decode the index block at [handle] in [name] into its keys and handles,
+   in order, reading the block in place. *)
+let read_index env name ~hint (handle : handle) =
+  let data, pos =
+    Pdb_simio.Env.read_view env name ~pos:handle.offset ~len:handle.size
+      ~hint
+  in
+  let it =
+    Block.iterator ~compare:ikey_compare
+      (Block.decode_view data ~pos ~len:handle.size)
+  in
+  let sl = Pdb_kvs.Iter.slice () in
   let entries = ref [] in
   it.Pdb_kvs.Iter.seek_to_first ();
   while it.Pdb_kvs.Iter.valid () do
-    let handle = it.Pdb_kvs.Iter.value () in
-    let offset, pos = Pdb_util.Varint.get_uvarint handle 0 in
-    let size, _ = Pdb_util.Varint.get_uvarint handle pos in
+    it.Pdb_kvs.Iter.value_slice sl;
+    let offset, p = Pdb_util.Varint.get_uvarint sl.src sl.pos in
+    let size, _ = Pdb_util.Varint.get_uvarint sl.src p in
     entries := (it.Pdb_kvs.Iter.key (), offset, size) :: !entries;
     it.Pdb_kvs.Iter.next ()
   done;
@@ -263,6 +272,22 @@ let decode_index raw =
     Array.map (fun (_, o, _) -> o) entries,
     Array.map (fun (_, _, z) -> z) entries )
 
+(* Decode the filter at [handle] in [name], reading it in place. *)
+let read_filter env name ~hint (handle : handle) =
+  let data, pos =
+    Pdb_simio.Env.read_view env name ~pos:handle.offset ~len:handle.size
+      ~hint
+  in
+  Pdb_bloom.Bloom.decode_view data ~pos
+
+(* The footer's [i]-th fixed32 field, read in place. *)
+let read_footer env name ~size ~hint =
+  let data, pos =
+    Pdb_simio.Env.read_view env name ~pos:(size - footer_size)
+      ~len:footer_size ~hint
+  in
+  fun i -> Pdb_util.Varint.get_fixed32 data (pos + (4 * i))
+
 (** [open_reader ?hint env ~dir meta] opens a table, reading footer, index
     and filter.  Cold point-lookups pay three random reads; compaction
     passes [~hint:Sequential_read] since it streams its freshly-written
@@ -270,29 +295,16 @@ let decode_index raw =
 let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
   let name = file_name ~dir meta.number in
   let size = Pdb_simio.Env.file_size env name in
-  let footer =
-    Pdb_simio.Env.read env name ~pos:(size - footer_size) ~len:footer_size
-      ~hint
-  in
-  let filter_off = Pdb_util.Varint.get_fixed32 footer 0 in
-  let filter_size = Pdb_util.Varint.get_fixed32 footer 4 in
-  let index_off = Pdb_util.Varint.get_fixed32 footer 8 in
-  let index_size = Pdb_util.Varint.get_fixed32 footer 12 in
-  let stored_magic = Pdb_util.Varint.get_fixed32 footer 20 in
-  let prefix_len = Pdb_util.Varint.get_fixed32 footer 24 in
-  if stored_magic <> magic then
+  let field = read_footer env name ~size ~hint in
+  let filter_handle = { offset = field 0; size = field 1 } in
+  let index_handle = { offset = field 2; size = field 3 } in
+  let prefix_len = field 6 in
+  if field 5 <> magic then
     failwith (Printf.sprintf "Table.open_reader %s: bad magic" name);
-  let keys, offsets, sizes =
-    decode_index
-      (Pdb_simio.Env.read env name ~pos:index_off ~len:index_size ~hint)
-  in
+  let keys, offsets, sizes = read_index env name ~hint index_handle in
   let filter =
-    if filter_size = 0 then No_filter
-    else
-      Loaded
-        (Pdb_bloom.Bloom.decode
-           (Pdb_simio.Env.read env name ~pos:filter_off ~len:filter_size
-              ~hint))
+    if filter_handle.size = 0 then No_filter
+    else Loaded (read_filter env name ~hint filter_handle)
   in
   {
     env;
@@ -301,8 +313,8 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
     keys;
     offsets;
     sizes;
-    index_handle = { offset = index_off; size = index_size };
-    filter_handle = { offset = filter_off; size = filter_size };
+    index_handle;
+    filter_handle;
     prefix_len;
     filter;
     on_filter_load = None;
@@ -319,8 +331,7 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
   let name = file_name ~dir meta.number in
   let index_off, index_size = Index_summary.index_handle summary in
   let keys, offsets, sizes =
-    decode_index
-      (Pdb_simio.Env.read env name ~pos:index_off ~len:index_size ~hint)
+    read_index env name ~hint { offset = index_off; size = index_size }
   in
   let slice = Index_summary.slice_bytes summary in
   let excess = index_size - slice in
@@ -351,11 +362,7 @@ let load_filter r =
   | No_filter -> None
   | Loaded f -> Some f
   | Lazy h ->
-    let f =
-      Pdb_bloom.Bloom.decode
-        (Pdb_simio.Env.read r.env r.name ~pos:h.offset ~len:h.size
-           ~hint:Pdb_simio.Device.Random_read)
-    in
+    let f = read_filter r.env r.name ~hint:Pdb_simio.Device.Random_read h in
     r.filter <- Loaded f;
     (match r.on_filter_load with Some notify -> notify () | None -> ());
     Some f
@@ -509,11 +516,10 @@ let recover_meta env ~dir ~number =
   in
   let reader = open_reader ~hint:Pdb_simio.Device.Sequential_read env ~dir probe in
   (* entry count lives in the footer *)
-  let footer =
-    Pdb_simio.Env.read env name ~pos:(file_size - footer_size)
-      ~len:footer_size ~hint:Pdb_simio.Device.Sequential_read
+  let entries =
+    read_footer env name ~size:file_size
+      ~hint:Pdb_simio.Device.Sequential_read 4
   in
-  let entries = Pdb_util.Varint.get_fixed32 footer 16 in
   let cache = Block_cache.create ~capacity:(1 lsl 16) in
   let it =
     iterator reader ~cache ~hint:Pdb_simio.Device.Sequential_read

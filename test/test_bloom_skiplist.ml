@@ -77,6 +77,67 @@ let test_bloom_add_range_out_of_bounds () =
       Bloom.add_range b "abcdef" 3 4);
   check Alcotest.int "nothing added" 0 (Bloom.nkeys b)
 
+(* The probe positions as defined: probe [i] of a key hashed to [h1]/[h2]
+   is [((h1 + i * h2) land max_int) mod nbits]. *)
+let reference_probes ~k ~nbits h1 h2 =
+  List.init k (fun i -> ((h1 + (i * h2)) land max_int) mod nbits)
+
+(* An encoded filter of [nbytes] bytes and [k] probes with exactly the bits
+   at [positions] set. *)
+let encoded_with ~k ~nbytes positions =
+  let bits = Bytes.make nbytes '\000' in
+  List.iter
+    (fun p ->
+      Bytes.set bits (p / 8)
+        (Char.chr (Char.code (Bytes.get bits (p / 8)) lor (1 lsl (p mod 8)))))
+    positions;
+  let buf = Buffer.create (nbytes + 8) in
+  Pdb_util.Varint.put_uvarint buf k;
+  Pdb_util.Varint.put_uvarint buf 0;
+  Pdb_util.Varint.put_length_prefixed buf (Bytes.to_string bits);
+  Buffer.contents buf
+
+let prop_bloom_stepped_probes =
+  (* mem_hashed finds a key exactly when every reference position is set:
+     with all of them set it answers true, with any one cleared false *)
+  qtest ~count:500 "stepped probes = ((h1 + i*h2) land max_int) mod nbits"
+    QCheck.(
+      quad
+        (make Gen.(int_bound ((1 lsl 32) - 1)))
+        (make Gen.(int_bound ((1 lsl 32) - 1)))
+        (make Gen.(1 -- 300))
+        (make Gen.(1 -- 30)))
+    (fun (h1, h2, nbytes, k) ->
+      let refs = reference_probes ~k ~nbits:(nbytes * 8) h1 h2 in
+      let mem positions =
+        Bloom.mem_hashed (Bloom.decode (encoded_with ~k ~nbytes positions)) h1
+          h2
+      in
+      mem refs
+      && List.for_all
+           (fun p -> not (mem (List.filter (fun q -> q <> p) refs)))
+           refs)
+
+(* The probe count and bit array of an encoded filter. *)
+let decode_fields enc =
+  let k, p = Pdb_util.Varint.get_uvarint enc 0 in
+  let _nkeys, p = Pdb_util.Varint.get_uvarint enc p in
+  (k, fst (Pdb_util.Varint.get_length_prefixed enc p))
+
+let prop_bloom_add_sets_reference_bits =
+  qtest ~count:300 "add sets the reference probe bits"
+    QCheck.(pair (string_of_size Gen.(0 -- 30)) (make Gen.(1 -- 5000)))
+    (fun (key, n) ->
+      let b = Bloom.create n in
+      Bloom.add b key;
+      let k, bits = decode_fields (Bloom.encode b) in
+      let nbytes = String.length bits and len = String.length key in
+      let refs =
+        reference_probes ~k ~nbits:(nbytes * 8) (Bloom.hash1 key 0 len)
+          (Bloom.hash2 key 0 len)
+      in
+      String.equal bits (snd (decode_fields (encoded_with ~k ~nbytes refs))))
+
 (* ---------- Skiplist ---------- *)
 
 module Skiplist = Pdb_skiplist.Skiplist
@@ -186,6 +247,8 @@ let () =
           prop_bloom_add_range_matches_add;
           Alcotest.test_case "add_range out of bounds" `Quick
             test_bloom_add_range_out_of_bounds;
+          prop_bloom_stepped_probes;
+          prop_bloom_add_sets_reference_bits;
         ] );
       ( "skiplist",
         [

@@ -181,6 +181,8 @@ module Flat = struct
   let names t =
     List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.files [])
 
+  let total_file_bytes t = Hashtbl.fold (fun _ f acc -> acc + f.len) t.files 0
+
   let crash t =
     let torn =
       match t.plan with Some p when p.torn_writes -> Some p | _ -> None
@@ -234,11 +236,14 @@ type op =
   | Append_buffer of int * string
   | Write_at of int * int * string  (** file, position past EOF allowed *)
   | Read of int * int * int
+  | Read_view of int * int * int
   | Peek of int * int * int
   | Sync of int
+  | Close of int
   | Rename of int * int
   | Delete of int
   | Crash
+  | Checkpoint  (** compare every file's contents *)
 
 let file_name i = "f" ^ string_of_int i
 
@@ -250,17 +255,28 @@ let show_op = function
   | Write_at (i, p, s) ->
     Printf.sprintf "write_at %d @%d %d" i p (String.length s)
   | Read (i, p, l) -> Printf.sprintf "read %d @%d %d" i p l
+  | Read_view (i, p, l) -> Printf.sprintf "read_view %d @%d %d" i p l
   | Peek (i, p, l) -> Printf.sprintf "peek %d @%d %d" i p l
   | Sync i -> Printf.sprintf "sync %d" i
+  | Close i -> Printf.sprintf "close %d" i
   | Rename (a, b) -> Printf.sprintf "rename %d %d" a b
   | Delete i -> Printf.sprintf "delete %d" i
   | Crash -> "crash"
+  | Checkpoint -> "checkpoint"
 
 let gen_op =
   let open QCheck.Gen in
   let file = int_bound 3 in
-  let data = string_size ~gen:printable (0 -- 40) in
+  (* now and then an append long enough to push a pending tail past its
+     96 KB limit, or to be an extent by itself *)
+  let data =
+    frequency
+      [ (30, string_size ~gen:printable (0 -- 40));
+        (1, map2 String.make (20_000 -- 110_000) printable) ]
+  in
   let small = string_size ~gen:printable (1 -- 6) in
+  (* read positions near the start, and around where big appends end *)
+  let pos = frequency [ (4, 0 -- 150); (1, 90_000 -- 230_000) ] in
   frequency
     [ (2, map (fun i -> Create i) file);
       (6, map2 (fun i s -> Append (i, s)) file data);
@@ -268,12 +284,15 @@ let gen_op =
       (3, map3 (fun i p s -> Write_at (i, p, s)) file (0 -- 150) data);
       (* short writes inside earlier ones split and re-merge extents *)
       (3, map3 (fun i p s -> Write_at (i, p, s)) file (0 -- 60) small);
-      (4, map3 (fun i p l -> Read (i, p, l)) file (0 -- 150) (0 -- 60));
-      (2, map3 (fun i p l -> Peek (i, p, l)) file (0 -- 150) (0 -- 60));
+      (3, map3 (fun i p l -> Read (i, p, l)) file pos (0 -- 60));
+      (2, map3 (fun i p l -> Read_view (i, p, l)) file pos (0 -- 60));
+      (2, map3 (fun i p l -> Peek (i, p, l)) file pos (0 -- 60));
       (3, map (fun i -> Sync i) file);
+      (2, map (fun i -> Close i) file);
       (1, map2 (fun a b -> Rename (a, b)) file file);
       (1, map (fun i -> Delete i) file);
-      (1, return Crash) ]
+      (1, return Crash);
+      (1, return Checkpoint) ]
 
 (* A plan: seed, crash point (0 = none), torn writes, garbling
    probability, block size. *)
@@ -322,6 +341,10 @@ let run_case (plan, ops) =
   in
   Option.iter install plan;
   let writers = Array.make 4 None and mwriters = Array.make 4 None in
+  (* whether writer [i]'s size is compared: a delete or a create over a
+     name drops that file's pending tail, so only while writer [i]'s file
+     is still named [file_name i] and neither happened to it *)
+  let sized = Array.make 4 false in
   let buf = Buffer.create 64 in
   let with_writer i f g =
     match (writers.(i), mwriters.(i)) with
@@ -330,8 +353,12 @@ let run_case (plan, ops) =
     | _ -> ("skip", "skip")
   in
   let failures = ref [] in
-  let compare_state step =
-    let names = List.sort compare (Env.list env) in
+  let fail step what =
+    failures := Printf.sprintf "step %d: %s" step what :: !failures
+  in
+  (* every file's contents: this materializes every pending tail, so it
+     runs only at checkpoints and at the end *)
+  let compare_contents step =
     let files name =
       (name, Env.peek env name ~pos:0 ~len:(Env.file_size env name))
     in
@@ -339,6 +366,13 @@ let run_case (plan, ops) =
       let f = Flat.find model name in
       (name, Bytes.sub_string f.Flat.data 0 f.Flat.len)
     in
+    if
+      List.map files (List.sort compare (Env.list env))
+      <> List.map mfiles (Flat.names model)
+    then fail step "contents differ"
+  in
+  (* the observers that leave pending tails alone, after every step *)
+  let compare_state step =
     let plan_obs () =
       match Env.fault_plan env with
       | Some p ->
@@ -352,14 +386,23 @@ let run_case (plan, ops) =
       | Some p -> Some (p.Flat.ticks, p.Flat.fired_at, p.Flat.torn_files)
       | None -> None
     in
-    if List.map files names <> List.map mfiles (Flat.names model) then
-      failures := Printf.sprintf "step %d: contents differ" step :: !failures;
+    if List.sort compare (Env.list env) <> Flat.names model then
+      fail step "file names differ";
+    if Env.total_file_bytes env <> Flat.total_file_bytes model then
+      fail step "total bytes differ";
+    Array.iteri
+      (fun i w ->
+        match (w, mwriters.(i)) with
+        | Some w, Some mw
+          when sized.(i) && Env.writer_size w <> mw.Flat.file.Flat.len ->
+          fail step (Printf.sprintf "writer %d size differs" i)
+        | _ -> ())
+      writers;
     if Io_stats.snapshot (Env.stats env) <> Io_stats.snapshot model.Flat.stats
-    then failures := Printf.sprintf "step %d: stats differ" step :: !failures;
+    then fail step "stats differ";
     if Clock.snapshot (Env.clock env) <> Clock.snapshot model.Flat.clock then
-      failures := Printf.sprintf "step %d: clock differs" step :: !failures;
-    if plan_obs () <> mplan_obs () then
-      failures := Printf.sprintf "step %d: fault ticks differ" step :: !failures
+      fail step "clock differs";
+    if plan_obs () <> mplan_obs () then fail step "fault ticks differ"
   in
   List.iteri
     (fun step op ->
@@ -367,8 +410,10 @@ let run_case (plan, ops) =
         match op with
         | Create i ->
           let name = file_name i in
+          sized.(i) <- false;
           ( unit_outcome (fun () ->
-                writers.(i) <- Some (Env.create_file env name)),
+                writers.(i) <- Some (Env.create_file env name);
+                sized.(i) <- true),
             unit_outcome (fun () ->
                 mwriters.(i) <- Some (Flat.create_file model name)) )
         | Append (i, s) ->
@@ -389,22 +434,34 @@ let run_case (plan, ops) =
           let name = file_name i and hint = Device.Random_read in
           ( outcome (fun () -> Env.read env name ~pos ~len ~hint),
             outcome (fun () -> Flat.read model name ~pos ~len ~hint) )
+        | Read_view (i, pos, len) ->
+          let name = file_name i and hint = Device.Random_read in
+          ( outcome (fun () ->
+                let s, off = Env.read_view env name ~pos ~len ~hint in
+                String.sub s off len),
+            outcome (fun () -> Flat.read model name ~pos ~len ~hint) )
         | Peek (i, pos, len) ->
           let name = file_name i in
           ( outcome (fun () -> Env.peek env name ~pos ~len),
             outcome (fun () -> Flat.peek model name ~pos ~len) )
         | Sync i -> with_writer i Env.sync Flat.sync
+        | Close i -> with_writer i Env.close ignore
         | Rename (a, b) ->
           let src = file_name a and dst = file_name b in
+          Array.fill sized 0 4 false;
           ( unit_outcome (fun () -> Env.rename env ~src ~dst),
             unit_outcome (fun () -> Flat.rename model ~src ~dst) )
         | Delete i ->
           let name = file_name i in
+          sized.(i) <- false;
           ( unit_outcome (fun () -> Env.delete env name),
             unit_outcome (fun () -> Flat.delete model name) )
         | Crash ->
           ( unit_outcome (fun () -> Env.crash env),
             unit_outcome (fun () -> Flat.crash model) )
+        | Checkpoint ->
+          compare_contents step;
+          ("", "")
       in
       if got <> want then
         failures :=
@@ -413,6 +470,7 @@ let run_case (plan, ops) =
           :: !failures;
       compare_state step)
     ops;
+  compare_contents (List.length ops);
   match List.rev !failures with
   | [] -> true
   | first :: _ -> QCheck.Test.fail_report first
@@ -427,29 +485,79 @@ let prop_env_matches_flat_model =
 (* ---------- the copy-free read contract ---------- *)
 
 let test_read_shares_extent () =
-  let env = Env.create () in
+  (* a, b and c are appended; a sync materializes a and b as one extent,
+     the close materializes c as a second *)
+  let env = Env.create () and hint = Device.Random_read in
   let w = Env.create_file env "f" in
-  let a = String.make 100 'a' and b = String.make 50 'b' in
+  let a = String.make 100 'a' and b = String.make 50 'b'
+  and c = String.make 30 'c' in
   Env.append w a;
   Env.append w b;
-  Alcotest.(check bool) "whole extent comes back without a copy" true
-    (Env.read env "f" ~pos:0 ~len:100 ~hint:Device.Random_read == a);
-  Alcotest.(check bool) "peek shares too" true
-    (Env.peek env "f" ~pos:100 ~len:50 == b);
-  check Alcotest.string "a range across extents is copied out"
-    (String.make 10 'a' ^ String.make 10 'b')
-    (Env.read env "f" ~pos:90 ~len:20 ~hint:Device.Random_read)
+  Env.sync w;
+  Env.append w c;
+  Env.close w;
+  let sa, oa = Env.read_view env "f" ~pos:0 ~len:100 ~hint in
+  let sb, ob = Env.read_view env "f" ~pos:100 ~len:50 ~hint in
+  Alcotest.(check bool) "two views inside one extent share its string" true
+    (sa == sb);
+  check Alcotest.(pair int int) "at their offsets" (0, 100) (oa, ob);
+  check Alcotest.string "the views hold the bytes" (a ^ b)
+    (String.sub sa oa 100 ^ String.sub sb ob 50);
+  check Alcotest.string "read returns equal bytes" a
+    (Env.read env "f" ~pos:0 ~len:100 ~hint);
+  Alcotest.(check bool) "a whole extent is read without a copy" true
+    (Env.read env "f" ~pos:0 ~len:150 ~hint == sa);
+  check Alcotest.string "peek of the second extent" c
+    (Env.peek env "f" ~pos:150 ~len:30);
+  let sx, ox = Env.read_view env "f" ~pos:140 ~len:20 ~hint in
+  check Alcotest.(pair string int) "a view across extents is a copy"
+    (String.make 10 'b' ^ String.make 10 'c', 0)
+    (sx, ox)
+
+let test_reused_tail_starts_empty () =
+  (* every way a tail goes back to the free list, then a fresh file whose
+     bytes must be only its own *)
+  let env = Env.create () and hint = Device.Sequential_read in
+  let fresh name data =
+    let w = Env.create_file env name in
+    Env.append w data;
+    Env.read_all env name ~hint
+  in
+  let w = Env.create_file env "closed" in
+  Env.append w "hello";
+  Env.close w;
+  check Alcotest.string "after a close" "xy" (fresh "b" "xy");
+  check Alcotest.string "the closed file kept its bytes" "hello"
+    (Env.read_all env "closed" ~hint);
+  let w = Env.create_file env "deleted" in
+  Env.append w "zzz";
+  Env.delete env "deleted";
+  check Alcotest.string "after a delete" "q" (fresh "d" "q");
+  let w = Env.create_file env "replaced" in
+  Env.append w "1234";
+  let w' = Env.create_file env "replaced" in
+  Env.append w' "5";
+  check Alcotest.string "create over a pending file" "5"
+    (Env.read_all env "replaced" ~hint);
+  check Alcotest.string "after the replacement" "r" (fresh "e" "r");
+  (* the writer of the replaced file takes a fresh tail *)
+  Env.append w "late";
+  check Alcotest.string "a dead writer touches no live file" "5"
+    (Env.read_all env "replaced" ~hint)
 
 let test_replaced_extents_leave_old_strings () =
   (* write_at and torn-tail garbling replace extents: a string handed out
      earlier keeps its bytes *)
-  let env = Env.create () in
-  Env.write_at env "pages" ~pos:0 (String.make 8 'p');
-  let before = Env.read env "pages" ~pos:0 ~len:8 ~hint:Device.Random_read in
+  let env = Env.create () and hint = Device.Random_read in
+  Env.write_at env "pages" ~pos:0 "abcdefgh";
+  let before = Env.read env "pages" ~pos:0 ~len:8 ~hint in
   Env.write_at env "pages" ~pos:2 "XY";
-  check Alcotest.string "old read unchanged" "pppppppp" before;
-  check Alcotest.string "new contents" "ppXYpppp"
-    (Env.read env "pages" ~pos:0 ~len:8 ~hint:Device.Random_read);
+  check Alcotest.string "old read unchanged" "abcdefgh" before;
+  check Alcotest.string "new contents" "abXYefgh"
+    (Env.read env "pages" ~pos:0 ~len:8 ~hint);
+  (* the tail "efgh" is now a slice of the old string, at offset 4 *)
+  let s, off = Env.read_view env "pages" ~pos:5 ~len:2 ~hint in
+  check Alcotest.string "a view inside a slice extent" "fg" (String.sub s off 2);
   let tail = String.make 16 't' in
   let garbled = ref false in
   (* some seed keeps the tail and garbles it; the appended string must
@@ -503,6 +611,30 @@ let test_block_overrun_raises () =
   check Alcotest.string "first entry intact" "1" (it.Pdb_kvs.Iter.value ());
   Alcotest.(check bool) "next raises instead of ending" true
     (raises_invalid it.Pdb_kvs.Iter.next)
+
+let test_block_decode_view_offset () =
+  let entries =
+    List.init 40 (fun i ->
+        (Printf.sprintf "key%03d" i, String.make (i mod 7) 'v'))
+  in
+  let raw = block_of entries in
+  let framed = "prefix" ^ raw ^ "suffix" in
+  let view = Block.decode_view framed ~pos:6 ~len:(String.length raw) in
+  let copy = Block.decode (String.sub framed 6 (String.length raw)) in
+  check Alcotest.(list (pair string string)) "entries"
+    (Block.entries ~compare:String.compare copy)
+    (Block.entries ~compare:String.compare view);
+  check Alcotest.(list (pair string string)) "as built" entries
+    (Block.entries ~compare:String.compare view);
+  check Alcotest.int "size" (Block.size_bytes copy) (Block.size_bytes view);
+  let it = Block.iterator ~compare:String.compare view in
+  it.Pdb_kvs.Iter.seek "key017";
+  check Alcotest.(pair string string) "seek inside the view"
+    ("key017", String.make 3 'v')
+    (it.Pdb_kvs.Iter.key (), it.Pdb_kvs.Iter.value ());
+  Alcotest.(check bool) "a range past the string raises" true
+    (raises_invalid (fun () ->
+         Block.decode_view framed ~pos:7 ~len:(String.length raw + 6)))
 
 let test_block_invalid_iterator_raises () =
   let blk = Block.decode (block_of [ ("a", "1") ]) in
@@ -632,12 +764,16 @@ let () =
         [ Alcotest.test_case "read shares the extent" `Quick
             test_read_shares_extent;
           Alcotest.test_case "replaced extents keep old strings" `Quick
-            test_replaced_extents_leave_old_strings ] );
+            test_replaced_extents_leave_old_strings;
+          Alcotest.test_case "a reused tail starts empty" `Quick
+            test_reused_tail_starts_empty ] );
       ( "block",
         [ Alcotest.test_case "overrunning value raises" `Quick
             test_block_overrun_raises;
           Alcotest.test_case "invalid iterator raises" `Quick
-            test_block_invalid_iterator_raises ] );
+            test_block_invalid_iterator_raises;
+          Alcotest.test_case "decode_view at an offset" `Quick
+            test_block_decode_view_offset ] );
       ( "internal-key",
         [ prop_ikey_compare_matches_reference;
           Alcotest.test_case "length assertion" `Quick

@@ -441,6 +441,35 @@ let test_locate_shared_boundary () =
   check Alcotest.int "before the start" (-1) (L.locate files "");
   check Alcotest.int "empty level" (-1) (L.locate [||] "k")
 
+(* Installing added files into a resident level by merge gives the order
+   a full re-sort would: for level 0 (newest first) and for a leveled and
+   a tiered level 1.  File numbers are distinct; smallest keys may tie. *)
+let prop_install_merges_like_sort =
+  let meta (number, u) =
+    { Table.number; file_size = 0; entries = 1;
+      smallest = Ik.encode ~user_key:u ~seq:1 ~kind:Ik.Value;
+      largest = Ik.encode ~user_key:u ~seq:1 ~kind:Ik.Value }
+  in
+  let user =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 3))
+  in
+  qtest "install_into_level = sort_for_level (added @ resident)" ~count:300
+    QCheck.(
+      triple
+        (make Gen.(list_size (0 -- 30) user))
+        (make Gen.(0 -- 6))
+        (make Gen.(oneofl [ (0, O.Leveled); (1, O.Leveled); (1, O.Tiered) ])))
+    (fun (users, added_count, (level, policy_kind)) ->
+      let opts = { (O.leveldb ()) with O.compaction_policy = policy_kind } in
+      let policy = Pdb_compaction.Policy.of_options opts in
+      let files = List.mapi (fun i u -> meta (i + 1, u)) users in
+      let added = List.filteri (fun i _ -> i < added_count) files
+      and rest = List.filteri (fun i _ -> i >= added_count) files in
+      let resident = L.sort_for_level ~policy ~opts level rest in
+      let numbers = List.map (fun (m : Table.meta) -> m.Table.number) in
+      numbers (L.install_into_level ~policy ~opts level added resident)
+      = numbers (L.sort_for_level ~policy ~opts level (added @ resident)))
+
 let () =
   Alcotest.run "lsm"
     [
@@ -501,4 +530,5 @@ let () =
             test_locate_shared_boundary;
           prop_locate_matches_linear;
         ] );
+      ("install", [ prop_install_merges_like_sort ]);
     ]

@@ -183,6 +183,29 @@ let table_cache_find () =
         ignore (Pdb_sstable.Table_cache.find tc meta)
       done)
 
+(* lru hit and insert with eviction: the primitive under the block, table
+   and page caches, over 1 024 resident int keys spaced like block-cache
+   keys.  A hit promotes one entry; each insert of a new key evicts the
+   least recent one. *)
+let lru_ops () =
+  let n = 1024 and calls = 1000 in
+  let lru = Pdb_util.Lru.create ~capacity:n in
+  for k = 0 to n - 1 do
+    Pdb_util.Lru.insert lru (k * 4096) k ~weight:1
+  done;
+  let rng = Pdb_util.Rng.create 7 in
+  let probes = Array.init calls (fun _ -> Pdb_util.Rng.int rng n * 4096) in
+  per_entry ~unit:"call" "lru.find_exn (hit)" ~entries:calls ~reps:1000
+    (fun () ->
+      Array.iter (fun k -> ignore (Pdb_util.Lru.find_exn lru k)) probes);
+  let next = ref n in
+  per_entry ~unit:"call" "lru.insert (evicting)" ~entries:calls ~reps:1000
+    (fun () ->
+      for _ = 1 to calls do
+        Pdb_util.Lru.insert lru (!next * 4096) !next ~weight:1;
+        incr next
+      done)
+
 (* env append 4KB x24 + close: the table-build pattern, 4 KB blocks
    appended from a reused buffer into one 96 KB file. *)
 let env_append_close () =
@@ -350,6 +373,7 @@ let run_bechamel () =
   merging_iter_next ();
   block_cache_evict_file ();
   table_cache_find ();
+  lru_ops ();
   lsm_level_locate ()
 
 let () =

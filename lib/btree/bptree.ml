@@ -41,7 +41,7 @@ type t = {
   slot_bytes : int; (* on-file slot per page *)
   split_bytes : int; (* serialized size that forces a split *)
   pages : (int, node) Hashtbl.t; (* loaded pages *)
-  hot : (string, unit) Pdb_util.Lru.t; (* page-cache residency model *)
+  hot : unit Pdb_util.Lru.t; (* page-cache residency model, by page id *)
   dirty : (int, unit) Hashtbl.t;
   mutable root : int;
   mutable next_page : int;
@@ -127,14 +127,16 @@ let write_header t =
   Pdb_util.Varint.put_fixed32 buf t.count;
   Env.write_at t.env t.page_file ~pos:0 (Buffer.contents buf)
 
-(* Touch a page in the residency model; charge a random read on a miss. *)
+(* Touch a page in the residency model: a hit promotes it; a miss charges
+   a random read and makes it resident. *)
 let touch t id =
-  let key = string_of_int id in
-  if not (Pdb_util.Lru.mem t.hot key) then
+  match Pdb_util.Lru.find_exn t.hot id with
+  | () -> ()
+  | exception Not_found ->
     Clock.advance t.clock
       (Device.read_cost (Env.device t.env) ~hint:Device.Random_read
          ~bytes:t.slot_bytes);
-  Pdb_util.Lru.insert t.hot key () ~weight:t.slot_bytes
+    Pdb_util.Lru.insert t.hot id () ~weight:t.slot_bytes
 
 let load_page t id =
   match Hashtbl.find_opt t.pages id with
@@ -154,7 +156,7 @@ let load_page t id =
     in
     let node = decode_node raw in
     Hashtbl.replace t.pages id node;
-    Pdb_util.Lru.insert t.hot (string_of_int id) () ~weight:t.slot_bytes;
+    Pdb_util.Lru.insert t.hot id () ~weight:t.slot_bytes;
     node
 
 let mark_dirty t id =
@@ -166,7 +168,7 @@ let alloc_page t node =
   let id = t.next_page in
   t.next_page <- id + 1;
   Hashtbl.replace t.pages id node;
-  Pdb_util.Lru.insert t.hot (string_of_int id) () ~weight:t.slot_bytes;
+  Pdb_util.Lru.insert t.hot id () ~weight:t.slot_bytes;
   mark_dirty t id;
   id
 

@@ -25,8 +25,10 @@ type stats = {
   mutable stall_stop_ns : float;
       (** stall time attributed to the hard stop threshold *)
   mutable by_trigger : (string * (int * int)) list;
-      (** per-{!Job.trigger} (runs, estimated bytes), keyed by
-          [Job.trigger_name]; flushes via [run_now] count too *)
+      (** per-{!Job.trigger} (runs, device bytes moved), keyed by
+          [Job.trigger_name]; the bytes are what the jobs actually read
+          plus wrote through the environment (0 without one), not their
+          submit-time estimates; flushes via [run_now] count too *)
 }
 
 type t = {
@@ -91,9 +93,19 @@ let submit t (job : Job.t) =
     true
   end
 
+(* Device bytes read plus written so far; 0 without an environment. *)
+let device_bytes t =
+  match t.env with
+  | Some env ->
+    let s = Pdb_simio.Env.stats env in
+    s.Pdb_simio.Io_stats.bytes_read + s.Pdb_simio.Io_stats.bytes_written
+  | None -> 0
+
 let run_one t (job : Job.t) =
   let before = t.clock.Clock.background_ns in
+  let bytes_before = device_bytes t in
   Clock.with_background t.clock job.run;
+  let moved = device_bytes t - bytes_before in
   let duration_ns = t.clock.Clock.background_ns -. before in
   (* zero-cost jobs (e.g. trivial pointer moves) occupy no lane time *)
   if duration_ns > 0.0 then begin
@@ -133,7 +145,7 @@ let run_one t (job : Job.t) =
     | None -> (0, 0)
   in
   t.stats.by_trigger <-
-    (trig, (runs + 1, bytes + job.estimated_bytes))
+    (trig, (runs + 1, bytes + moved))
     :: List.remove_assoc trig t.stats.by_trigger;
   match t.observer with Some f -> f job | None -> ()
 

@@ -83,19 +83,24 @@ let create ?(filter = Seek_filter.none) ?probe ~(level : Guard.level) ~cache
     | Some up ->
       gi > 0 && String.compare level.Guard.guards.(gi).Guard.gkey up > 0
   in
+  (* Hop to the next guard holding tables: the empty guards between are
+     never positioned.  Guard keys ascend, so when any of them is past the
+     upper bound, so is the guard hopped to. *)
   let rec skip_empty_forward () =
     match current () with
     | Some _ -> ()
     | None ->
-      if !cur_guard >= 0 && !cur_guard + 1 < nguards () then
-        if guard_past_upper (!cur_guard + 1) then begin
+      if !cur_guard >= 0 && !cur_guard + 1 < nguards () then begin
+        let gi = Guard.next_nonempty level (!cur_guard + 1) in
+        if gi >= nguards () || guard_past_upper gi then begin
           cur_guard := nguards ();
           merged := None
         end
         else begin
-          position_guard (!cur_guard + 1) None;
+          position_guard gi None;
           skip_empty_forward ()
         end
+      end
   in
   {
     Iter.seek_to_first =

@@ -23,11 +23,33 @@ type guard = {
   mutable tables : Table.meta list; (* newest first *)
 }
 
-type level = { mutable guards : guard array }
+type level = {
+  mutable guards : guard array;
+  mutable next_nonempty : int array;
+      (* [next_nonempty.(i)]: the first guard [>= i] holding tables, or the
+         guard count; [[||]] while stale.  Every mutation below resets it. *)
+}
 
 let sentinel () = { gkey = ""; tables = [] }
 
-let create_level () = { guards = [| sentinel () |] }
+let create_level () = { guards = [| sentinel () |]; next_nonempty = [||] }
+
+let invalidate level = level.next_nonempty <- [||]
+
+(** [next_nonempty level i] is the first guard index [>= i] whose guard
+    holds tables, or [Array.length level.guards] when none does — a scan
+    hops over runs of empty guards in one step.  The index is rebuilt
+    after any mutation of the level. *)
+let next_nonempty level i =
+  let n = Array.length level.guards in
+  if Array.length level.next_nonempty <> n + 1 then begin
+    let next = Array.make (n + 1) n in
+    for j = n - 1 downto 0 do
+      next.(j) <- (if level.guards.(j).tables <> [] then j else next.(j + 1))
+    done;
+    level.next_nonempty <- next
+  end;
+  level.next_nonempty.(i)
 
 (** [guard_index level key] is the index of the guard owning user [key]:
     the last guard whose key is <= [key] (always >= 0 thanks to the
@@ -68,11 +90,13 @@ let straddles key (m : Table.meta) =
 let attach level (m : Table.meta) =
   let i = guard_index level (Ik.user_key m.Table.smallest) in
   assert (table_fits level i m);
+  invalidate level;
   level.guards.(i).tables <- m :: level.guards.(i).tables
 
 (** [detach level numbers] removes the tables whose file numbers are in
     [numbers] from every guard. *)
 let detach level numbers =
+  invalidate level;
   Array.iter
     (fun g ->
       g.tables <-
@@ -110,6 +134,7 @@ let commit_guards level keys =
         (sentinel () :: List.map (fun k -> { gkey = k; tables = [] }) merged_keys)
     in
     level.guards <- guards;
+    invalidate level;
     (* reattach preserving newest-first order *)
     List.iter
       (fun m ->
@@ -132,6 +157,7 @@ let delete_guard level key =
     let kept = Array.of_list kept in
     let orphans = List.concat_map (fun g -> g.tables) doomed in
     level.guards <- kept;
+    invalidate level;
     (* predecessor guard absorbs the orphans (ranges stay sorted since the
        predecessor's range now extends to the next remaining guard) *)
     List.iter

@@ -15,12 +15,18 @@
     - tables are listed newest-first, so a get() can stop at the first
       bloom-confirmed hit. *)
 
-type guard = {
+(** Guards and levels are changed only through this module, so every
+    change can invalidate the level's non-empty-guard index. *)
+type guard = private {
   gkey : string;  (** user key; [""] for the sentinel *)
   mutable tables : Pdb_sstable.Table.meta list;  (** newest first *)
 }
 
-type level = { mutable guards : guard array }
+type level = private {
+  mutable guards : guard array;
+  mutable next_nonempty : int array;
+      (** the index behind {!next_nonempty}; [[||]] while stale *)
+}
 
 (** [sentinel ()] is a fresh sentinel guard (key "", no tables). *)
 val sentinel : unit -> guard
@@ -32,6 +38,12 @@ val create_level : unit -> level
     the last guard whose key is <= [key] (always >= 0 thanks to the
     sentinel). *)
 val guard_index : level -> string -> int
+
+(** [next_nonempty level i] is the first guard index [>= i] whose guard
+    holds tables, or [Array.length level.guards] when none does.  Rebuilt
+    in one pass after any mutation, so a scan hops over runs of empty
+    guards in one step. *)
+val next_nonempty : level -> int -> int
 
 (** [guard_range level i] is the key range [lo, hi) of guard [i]; [hi] is
     [None] for the last guard. *)

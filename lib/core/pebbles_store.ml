@@ -1122,6 +1122,8 @@ let options t = t.opts
 let env t = t.env
 let compaction_scheduler t = t.sched
 let backpressure t = t.bp
+let block_cache t = t.block_cache
+let table_cache t = t.table_cache
 
 (* mirror the scheduler's counters into the engine stats on read *)
 let stats t =
@@ -1296,6 +1298,9 @@ let table_lookup t (meta : Table.meta) key ~lookup ~h1 ~h2 =
         | Some _ | None -> None
       end)
 
+(* A get's search result is still open; a match, not polymorphic [=]. *)
+let not_found = function `NotFound -> true | `Found _ | `Deleted -> false
+
 let get ?snapshot t key =
   assert (not t.closed);
   t.stats.Stats.gets <- t.stats.Stats.gets + 1;
@@ -1323,7 +1328,7 @@ let get ?snapshot t key =
     Pdb_simio.Probe.with_session t.probe ~label:"get" (fun () ->
         let result = ref `NotFound in
         let probe (m : Table.meta) =
-          if !result = `NotFound && user_range_overlap m key then
+          if not_found !result && user_range_overlap m key then
             match table_lookup t m key ~lookup ~h1 ~h2 with
             | Some (Ik.Value, v) -> result := `Found v
             | Some (Ik.Deletion, _) -> result := `Deleted
@@ -1333,7 +1338,7 @@ let get ?snapshot t key =
         List.iter probe t.l0;
         (* one guard per deeper level; tables newest first *)
         let level = ref 1 in
-        while !result = `NotFound && !level <= last_level t do
+        while not_found !result && !level <= last_level t do
           let lvl = t.levels.(!level) in
           charge_cpu t t.opts.O.cpu_per_block_search_ns
             (* guard binary search *);

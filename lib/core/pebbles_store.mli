@@ -49,6 +49,12 @@ val compaction_scheduler : t -> Pdb_compaction.Scheduler.t
     engine uses, so the two can never drift on stall policy. *)
 val backpressure : t -> Pdb_kvs.Backpressure.t
 
+(** The block cache the store reads data blocks through (shared when
+    [open_store] was given one) and its table cache of open readers. *)
+val block_cache : t -> Pdb_sstable.Block_cache.t
+
+val table_cache : t -> Pdb_sstable.Table_cache.t
+
 (** {1 Writes (§2.1, §3.4)} *)
 
 val put : t -> string -> string -> unit

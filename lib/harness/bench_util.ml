@@ -346,8 +346,9 @@ let scheduler_summary (store : Dyn.dyn) =
   end
 
 (** One line of per-trigger compaction counters ("flush=12x/3.4MB
-    l0=5x/..."), or "" when nothing ran.  Runs and estimated bytes keyed
-    by {!Pdb_compaction.Job.trigger}, aggregated across shards. *)
+    l0=5x/..."), or "" when nothing ran.  Runs, and the device bytes the
+    jobs read plus wrote, keyed by {!Pdb_compaction.Job.trigger},
+    aggregated across shards. *)
 let trigger_summary (store : Dyn.dyn) =
   let st = store.Dyn.d_stats () in
   match st.Pdb_kvs.Engine_stats.compaction_by_trigger with

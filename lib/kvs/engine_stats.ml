@@ -37,9 +37,9 @@ type t = {
   mutable write_breakdown : (string * int) list;
       (** bytes written per compaction category (diagnostics) *)
   mutable compaction_by_trigger : (string * (int * int)) list;
-      (** per-trigger (runs, estimated bytes), keyed by the job trigger
-          name ("flush", "l0", "size", "cap", ...), mirrored from the
-          scheduler and summed across shards *)
+      (** per-trigger (runs, device bytes read + written), keyed by the
+          job trigger name ("flush", "l0", "size", "cap", ...), mirrored
+          from the scheduler and summed across shards *)
   (* background-scheduler counters, mirrored from the compaction
      scheduler when an engine reports stats *)
   mutable compaction_jobs : int;  (** jobs drained by the scheduler *)

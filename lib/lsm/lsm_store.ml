@@ -1001,6 +1001,9 @@ let table_lookup t (meta : Table.meta) key ~lookup ~h1 ~h2 =
         | Some _ | None -> None
       end)
 
+(* A get's search result is still open; a match, not polymorphic [=]. *)
+let not_found = function `NotFound -> true | `Found _ | `Deleted -> false
+
 let get ?snapshot t key =
   assert (not t.closed);
   t.stats.Pdb_kvs.Engine_stats.gets <- t.stats.Pdb_kvs.Engine_stats.gets + 1;
@@ -1039,7 +1042,7 @@ let get ?snapshot t key =
         let rec search_overlapping = function
           | [] -> ()
           | (m : Table.meta) :: rest ->
-            if !result = `NotFound then begin
+            if not_found !result then begin
               if user_range_overlap m key then probe m;
               search_overlapping rest
             end
@@ -1047,7 +1050,7 @@ let get ?snapshot t key =
         search_overlapping t.levels.(0);
         (* deeper levels: leveled layout has at most one candidate file *)
         let level = ref 1 in
-        while !result = `NotFound && !level < t.opts.O.max_levels do
+        while not_found !result && !level < t.opts.O.max_levels do
           (if tiered_level t !level then search_overlapping t.levels.(!level)
            else
              let files = level_array t !level in

@@ -247,8 +247,17 @@ let splice f ~pos s =
     f.len <- max f.len stop
   end
 
+(* The file table, keyed by name.  [Hashtbl.hash] keeps the generic
+   table's bucket layout, so [list] enumerates in the same order. *)
+module Files = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
-  files : (string, file) Hashtbl.t;
+  files : file Files.t;
   stats : Io_stats.t;
   device : Device.t;
   clock : Clock.t;
@@ -266,7 +275,7 @@ type writer = { env : t; name : string; file : file }
 
 let create ?(device = Device.ssd ()) () =
   {
-    files = Hashtbl.create 64;
+    files = Files.create 64;
     stats = Io_stats.create ();
     device;
     clock = Clock.create ();
@@ -340,7 +349,7 @@ let with_atomic t f =
   result
 
 let find t name =
-  match Hashtbl.find_opt t.files name with
+  match Files.find_opt t.files name with
   | Some f -> f
   | None -> raise (Sys_error (name ^ ": no such simulated file"))
 
@@ -367,14 +376,14 @@ let release t f =
     volatile until the first sync. *)
 let create_file t name =
   let ever_synced =
-    match Hashtbl.find_opt t.files name with
+    match Files.find_opt t.files name with
     | Some f ->
       release t f;
       f.ever_synced
     | None -> false
   in
   let file = new_file ~ever_synced in
-  Hashtbl.replace t.files name file;
+  Files.replace t.files name file;
   t.stats.files_created <- t.stats.files_created + 1;
   tick_op t "create:" name;
   { env = t; name; file }
@@ -463,13 +472,13 @@ let write_at t name ~pos s =
   if pos < 0 then
     invalid_arg (Printf.sprintf "Env.write_at %s: negative position" name);
   let f =
-    match Hashtbl.find_opt t.files name with
+    match Files.find_opt t.files name with
     | Some f ->
       materialize f;
       f
     | None ->
       let f = new_file ~ever_synced:false in
-      Hashtbl.replace t.files name f;
+      Files.replace t.files name f;
       t.stats.files_created <- t.stats.files_created + 1;
       f
   in
@@ -486,7 +495,7 @@ let write_at t name ~pos s =
      +. Device.write_cost t.device ~bytes:n);
   tick_op t "write_at:" name
 
-let exists t name = Hashtbl.mem t.files name
+let exists t name = Files.mem t.files name
 
 let file_size t name = (observe t name).len
 
@@ -535,10 +544,10 @@ let read_view t name ~pos ~len ~hint =
 let read_all t name ~hint = read t name ~pos:0 ~len:(file_size t name) ~hint
 
 let delete t name =
-  match Hashtbl.find_opt t.files name with
+  match Files.find_opt t.files name with
   | Some f ->
     release t f;
-    Hashtbl.remove t.files name;
+    Files.remove t.files name;
     t.stats.files_deleted <- t.stats.files_deleted + 1;
     tick_op t "delete:" name
   | None -> ()
@@ -549,20 +558,20 @@ let delete t name =
     freshly installed MANIFEST or CURRENT cannot vanish at a crash. *)
 let rename t ~src ~dst =
   let f = observe t src in
-  Hashtbl.remove t.files src;
-  Hashtbl.replace t.files dst f;
+  Files.remove t.files src;
+  Files.replace t.files dst f;
   f.synced <- f.len;
   f.ever_synced <- true;
   t.stats.syncs <- t.stats.syncs + 1;
   Clock.advance t.clock (Device.sync_cost t.device);
   tick_op t "rename:" dst
 
-let list t = Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
+let list t = Files.fold (fun name _ acc -> name :: acc) t.files []
 
 (** Total bytes stored across all files, pending tails included —
     used for space-amplification measurements (Figure 5.3). *)
 let total_file_bytes t =
-  Hashtbl.fold (fun _ f acc -> acc + size f) t.files 0
+  Files.fold (fun _ f acc -> acc + size f) t.files 0
 
 (* Flip a handful of random bits in bytes [lo, hi) of [f] — the garbage a
    torn page leaves behind.  The garbled range becomes a fresh extent, so
@@ -597,7 +606,7 @@ let crash t =
   let names = List.sort compare (list t) in
   List.iter
     (fun name ->
-      let f = Hashtbl.find t.files name in
+      let f = Files.find t.files name in
       (* the crash ends every writer: whatever they appended is part of
          the file the torn-write model truncates *)
       materialize f;
@@ -611,7 +620,7 @@ let crash t =
             (Pdb_util.Rng.bool p.Fault_plan.rng, 0)
           | None -> (false, 0)
       in
-      if not keep_file then Hashtbl.remove t.files name
+      if not keep_file then Files.remove t.files name
       else begin
         let unsynced = f.len - base in
         (match torn with

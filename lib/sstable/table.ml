@@ -224,6 +224,11 @@ type filter_slot =
   | Loaded of Pdb_bloom.Bloom.t
   | Lazy of handle
 
+(* The block cache a reader last loaded through, with its interned file. *)
+type interned =
+  | Not_interned
+  | Interned of Block_cache.t * Block_cache.file
+
 (** An open table: index block resident in memory (the paper's cached
     index blocks), decoded once at open into parallel arrays so a probe
     binary-searches keys and reads handles without decoding anything;
@@ -242,6 +247,7 @@ type reader = {
   mutable on_filter_load : (unit -> unit) option;
       (* notified when a Lazy filter materialises — the table cache
          re-weighs the entry, whose resident footprint just changed *)
+  mutable interned : interned;
 }
 
 let ikey_compare = Pdb_kvs.Internal_key.compare
@@ -318,6 +324,7 @@ let open_reader ?(hint = Pdb_simio.Device.Random_read) env ~dir (meta : meta) =
     prefix_len;
     filter;
     on_filter_load = None;
+    interned = Not_interned;
   }
 
 (** [open_via_summary env ~dir meta summary] reopens an evicted table
@@ -354,6 +361,7 @@ let open_via_summary ?(hint = Pdb_simio.Device.Random_read) env ~dir
       (if filter_size = 0 then No_filter
        else Lazy { offset = filter_off; size = filter_size });
     on_filter_load = None;
+    interned = Not_interned;
   }
 
 (* Materialise a lazy filter, charging the deferred random read. *)
@@ -436,11 +444,20 @@ let find_block r ikey =
   done;
   !lo
 
+(* [r]'s file as interned by [cache]: remembered across loads, so a block
+   load hashes no path, and interned again once [cache] dropped it. *)
+let interned_file r cache =
+  match r.interned with
+  | Interned (c, f) when c == cache && Block_cache.live f -> f
+  | Interned _ | Not_interned ->
+    let f = Block_cache.intern cache r.name in
+    r.interned <- Interned (cache, f);
+    f
+
 (* The decoded data block at index position [i]. *)
 let load_block r ~cache ~hint i =
-  fst
-    (Block_cache.find_or_load cache r.env ~file:r.name ~offset:r.offsets.(i)
-       ~size:r.sizes.(i) ~hint)
+  Block_cache.load cache r.env (interned_file r cache) ~file:r.name
+    ~offset:r.offsets.(i) ~size:r.sizes.(i) ~hint
 
 (** [get r ~cache ~hint ikey] returns the first entry with internal key >=
     [ikey], reading at most one data block. *)

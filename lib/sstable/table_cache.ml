@@ -19,7 +19,7 @@
 type t = {
   env : Pdb_simio.Env.t;
   dir : string;
-  cache : (int, Table.reader) Pdb_util.Lru.t; (* keyed by table number *)
+  cache : Table.reader Pdb_util.Lru.t; (* keyed by table number *)
   by_bytes : bool;
   summary_stride : int; (* <= 0 disables summaries *)
   summaries : (int, Index_summary.t) Hashtbl.t;
@@ -128,6 +128,7 @@ let accounted_bytes t = Pdb_util.Lru.used t.cache
 let open_tables t = Pdb_util.Lru.length t.cache
 let hits t = Pdb_util.Lru.hits t.cache
 let misses t = Pdb_util.Lru.misses t.cache
+let evictions t = Pdb_util.Lru.evictions t.cache
 let summary_hits t = t.summary_hits
 let summary_misses t = t.summary_misses
 let summaries t = Hashtbl.length t.summaries

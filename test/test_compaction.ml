@@ -68,6 +68,33 @@ let test_drain_runs_on_background_lane () =
     snap.Clock.bg_horizon_ns;
   check Alcotest.int "job counted" 1 (Scheduler.stats s).Scheduler.jobs_run
 
+(* Per-trigger bytes are the device bytes a job reads plus writes, not
+   its submit-time estimate (a seek compaction submits 0). *)
+let test_trigger_books_device_bytes () =
+  let env = Env.create () in
+  let s = Scheduler.create ~env ~clock:(Env.clock env) ~workers:1 () in
+  let job =
+    {
+      (manual_job (fun () ->
+           let w = Env.create_file env "out" in
+           Env.append w (String.make 3000 'w');
+           Env.close w;
+           ignore (Env.read env "out" ~pos:0 ~len:1000
+                     ~hint:Device.Sequential_read)))
+      with
+      Job.trigger = Job.Seek;
+      estimated_bytes = 0;
+    }
+  in
+  ignore (Scheduler.submit s job);
+  Scheduler.drain s;
+  Scheduler.run_now s { job with Job.key = "y" };
+  check
+    Alcotest.(list (pair string (pair int int)))
+    "two runs, 4000 device bytes each"
+    [ (Job.trigger_name Job.Seek, (2, 8000)) ]
+    (Scheduler.stats s).Scheduler.by_trigger
+
 (* ---------- worker-count invariance ---------- *)
 
 (* Final on-storage state must be a pure function of the workload: the
@@ -208,6 +235,8 @@ let () =
       ( "scheduler",
         [
           Alcotest.test_case "dedup and FIFO" `Quick test_submit_dedup_and_fifo;
+          Alcotest.test_case "per-trigger bytes are device bytes" `Quick
+            test_trigger_books_device_bytes;
           Alcotest.test_case "background lane + placement" `Quick
             test_drain_runs_on_background_lane;
         ] );

@@ -757,6 +757,136 @@ let test_golden engine expected () =
   check Alcotest.string "files digest" edigest digest;
   check Alcotest.string "io and clock" esummary summary
 
+(* ---------- golden cache counters ---------- *)
+
+(* A fixed read-heavy run: a random fill, random gets (one in six of an
+   absent key) and short scans, with block, table and page caches small
+   enough that all of them evict.  The summary pins each cache's hits,
+   misses and evictions, the IO counters, the simulated clock and a
+   digest of every answer, so a change to recency or eviction order
+   fails here. *)
+type cache_run = {
+  put : string -> string -> unit;
+  get : string -> string option;
+  iter : unit -> Pdb_kvs.Iter.t;
+  flush : unit -> unit;
+  counters : unit -> string;
+}
+
+let cache_counters name ~hits ~misses ~evictions =
+  Printf.sprintf "%s=%d/%d/%d" name hits misses evictions
+
+let open_cache_run engine env =
+  let opts =
+    { (Stores.default_options engine) with
+      Pdb_kvs.Options.memtable_bytes = 32 * 1024;
+      block_cache_bytes = 96 * 1024;
+      table_cache_entries = 3 }
+  in
+  let sstable_counters bc tc =
+    let module BC = Pdb_sstable.Block_cache in
+    let module TC = Pdb_sstable.Table_cache in
+    cache_counters "block" ~hits:(BC.hits bc) ~misses:(BC.misses bc)
+      ~evictions:(BC.evictions bc)
+    ^ " "
+    ^ cache_counters "table" ~hits:(TC.hits tc) ~misses:(TC.misses tc)
+        ~evictions:(TC.evictions tc)
+  in
+  match engine with
+  | Stores.Pebblesdb ->
+    let module P = Pebblesdb.Pebbles_store in
+    let t = P.open_store opts ~env ~dir:"db" in
+    { put = P.put t; get = (fun k -> P.get t k);
+      iter = (fun () -> P.iterator t); flush = (fun () -> P.flush t);
+      counters =
+        (fun () -> sstable_counters (P.block_cache t) (P.table_cache t)) }
+  | Stores.Leveldb ->
+    let module L = Pdb_lsm.Lsm_store in
+    let t = L.open_store opts ~env ~dir:"db" in
+    { put = L.put t; get = (fun k -> L.get t k);
+      iter = (fun () -> L.iterator t); flush = (fun () -> L.flush t);
+      counters =
+        (fun () -> sstable_counters t.L.block_cache t.L.table_cache) }
+  | _ ->
+    let module W = Pdb_btree.Wt_store in
+    let module B = Pdb_btree.Bptree in
+    let t = W.open_store opts ~env ~dir:"db" in
+    { put = W.put t; get = W.get t; iter = (fun () -> W.iterator t);
+      flush = (fun () -> W.flush t);
+      counters =
+        (fun () ->
+          let hot = t.W.tree.B.hot in
+          cache_counters "page" ~hits:(Pdb_util.Lru.hits hot)
+            ~misses:(Pdb_util.Lru.misses hot)
+            ~evictions:(Pdb_util.Lru.evictions hot)) }
+
+let cache_golden_run engine =
+  let env = Env.create () in
+  let rng = Rng.create 4242 in
+  let keys = 3000 in
+  let key i = Printf.sprintf "key%06d" (i * 7) in
+  let r = open_cache_run engine env in
+  let order = Array.init keys Fun.id in
+  Rng.shuffle rng order;
+  Array.iter
+    (fun i -> r.put (key i) (Rng.alpha rng (100 + Rng.int rng 200)))
+    order;
+  r.flush ();
+  let answers = Buffer.create 4096 in
+  let answer = function
+    | Some v -> Buffer.add_string answers (Digest.string v)
+    | None -> Buffer.add_char answers '-'
+  in
+  for op = 1 to 6000 do
+    if op mod 25 = 0 then begin
+      let it = r.iter () in
+      it.Pdb_kvs.Iter.seek (key (Rng.int rng keys));
+      let n = ref 0 in
+      while !n < 10 && it.Pdb_kvs.Iter.valid () do
+        Buffer.add_string answers (it.Pdb_kvs.Iter.key ());
+        it.Pdb_kvs.Iter.next ();
+        incr n
+      done
+    end
+    else if Rng.int rng 6 = 0 then
+      (* absent: between two present keys *)
+      answer (r.get (key (Rng.int rng keys) ^ "x"))
+    else answer (r.get (key (Rng.int rng keys)))
+  done;
+  let s = Env.stats env in
+  let c = Clock.snapshot (Env.clock env) in
+  Printf.sprintf
+    "%s written=%d read=%d wops=%d rops=%d syncs=%d fg=%h bg=%h cpu=%h \
+     answers=%s"
+    (r.counters ()) s.Io_stats.bytes_written s.Io_stats.bytes_read
+    s.Io_stats.write_ops s.Io_stats.read_ops s.Io_stats.syncs
+    c.Clock.foreground_ns c.Clock.background_ns c.Clock.cpu_ns
+    (Digest.to_hex (Digest.string (Buffer.contents answers)))
+
+(* Recorded on the list-linked LRU that preceded the array-backed one;
+   "page" hits and misses count page touches that found the page resident
+   or charged a read for it. *)
+let cache_golden =
+  [ (Stores.Pebblesdb,
+     "block=954/5625/5602 table=3726/18122/18117"
+     ^ " written=2894207 read=50162879 wops=3662 rops=41522 syncs=81"
+     ^ " fg=0x1.133c71b4p+31 bg=0x1.4b01b1p+23 cpu=0x1.4e2a248p+27"
+     ^ " answers=83d8a2fe2ee7f53e97b55a978e03b612");
+    (Stores.Leveldb,
+     "block=3072/7982/7959 table=2036/8902/8897"
+     ^ " written=3035525 read=36115918 wops=3767 rops=17439 syncs=122"
+     ^ " fg=0x1.0d5bcc77p+30 bg=0x1.be2b05p+23 cpu=0x1.7113e3p+27"
+     ^ " answers=83d8a2fe2ee7f53e97b55a978e03b612");
+    (Stores.Wiredtiger,
+     "page=9659/8746/8969"
+     ^ " written=5388806 read=0 wops=4681 rops=0 syncs=0"
+     ^ " fg=0x1.b6f4cebp+29 bg=0x0p+0 cpu=0x1.d0a15p+26"
+     ^ " answers=83d8a2fe2ee7f53e97b55a978e03b612") ]
+
+let test_cache_golden engine expected () =
+  check Alcotest.string "cache counters, io and clock" expected
+    (cache_golden_run engine)
+
 let () =
   Alcotest.run "io-path"
     [ ("env-model", [ prop_env_matches_flat_model ]);
@@ -783,4 +913,12 @@ let () =
           (fun (engine, expected) ->
             Alcotest.test_case (Stores.engine_name engine) `Quick
               (test_golden engine expected))
-          golden ) ]
+          golden );
+      (* Group names stay within 12 characters: Alcotest sizes its name
+         column by the longest one and shortens every test name to fit. *)
+      ( "cache-golden",
+        List.map
+          (fun (engine, expected) ->
+            Alcotest.test_case (Stores.engine_name engine) `Quick
+              (test_cache_golden engine expected))
+          cache_golden ) ]

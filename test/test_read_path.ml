@@ -244,6 +244,199 @@ let test_level_iter_upper_bound_stops () =
   (* the guard past the bound is never entered: its table stays closed *)
   check Alcotest.int "out-of-range guard never opened" 1 !opened
 
+(* ---------- FLSM level iterator over empty guards ---------- *)
+
+(* The guard-by-guard walk the level iterator must match: from the guard
+   a seek lands in (guard 0 for seek-to-first), every guard in turn until
+   the first one whose key is past the upper bound, asking the seek
+   filter about each table.  Returns the user keys a full scan yields
+   and the tables it opens. *)
+let reference_walk level ~filter ~entries ~target =
+  let guards = level.G.guards in
+  let n = Array.length guards in
+  let first =
+    match target with
+    | Some t -> G.guard_index level (Ik.user_key t)
+    | None -> 0
+  in
+  let past_upper i =
+    match SF.upper_user filter with
+    | Some up -> i > 0 && String.compare guards.(i).G.gkey up > 0
+    | None -> false
+  in
+  let opened = ref 0 and keys = ref [] in
+  let i = ref first in
+  while !i < n && not (!i > first && past_upper !i) do
+    List.iter
+      (fun (m : T.meta) ->
+        let skip =
+          match target with
+          | Some t when !i = first -> SF.skip_seek filter m ~target:t
+          | Some _ | None -> SF.skip_first filter m
+        in
+        if not skip then begin
+          incr opened;
+          keys :=
+            List.filter
+              (fun k ->
+                match target with
+                | Some t -> Ik.compare (ikey k) t >= 0
+                | None -> true)
+              (List.assoc m.T.number entries)
+            @ !keys
+        end)
+      guards.(!i).G.tables;
+    incr i
+  done;
+  (List.sort String.compare !keys, !opened)
+
+let scan_level ?upper_user env level ~target =
+  let filter, checks, _ =
+    counting_filter ?upper_user ~peek:(fun _ -> None) ()
+  in
+  let opened = ref 0 in
+  let it = iter_of ~filter ~on_table:(fun () -> incr opened) env level in
+  (match target with
+   | Some t -> it.Iter.seek t
+   | None -> it.Iter.seek_to_first ());
+  let keys = ref [] in
+  while it.Iter.valid () do
+    keys := Ik.user_key (it.Iter.key ()) :: !keys;
+    it.Iter.next ()
+  done;
+  (List.rev !keys, !opened, !checks)
+
+(* Guard [i] (1-based) has key "k%02d0" and owns "k%02d1".."k%02d9"; the
+   sentinel owns keys below "k".  Each guard is empty or holds one or two
+   tables of distinct keys. *)
+let random_level env rng ~guards =
+  let level = G.create_level () in
+  G.commit_guards level
+    (List.init guards (fun i -> Printf.sprintf "k%02d0" (i + 1)));
+  let entries = ref [] and number = ref 1 in
+  let add_table keys =
+    let meta =
+      build_table env ~number:!number (List.map (fun k -> (k, "v" ^ k)) keys)
+    in
+    entries := (!number, keys) :: !entries;
+    incr number;
+    G.attach level meta
+  in
+  for i = 0 to guards do
+    if Pdb_util.Rng.int rng 3 = 0 then begin
+      let prefix = if i = 0 then "a" else Printf.sprintf "k%02d" i in
+      let key d = Printf.sprintf "%s%d" prefix d in
+      if Pdb_util.Rng.bool rng then add_table [ key 1; key 3; key 5 ]
+      else begin
+        add_table [ key 2; key 6 ];
+        add_table [ key 4; key 8 ]
+      end
+    end
+  done;
+  (level, entries, add_table)
+
+let prop_level_iter_empty_guards =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150
+       ~name:"level iter over empty guards = guard-by-guard walk"
+       QCheck.(pair (int_range 1 40) int)
+       (fun (guards, seed) ->
+         let env = Env.create () in
+         let rng = Pdb_util.Rng.create seed in
+         let level, entries, add_table = random_level env rng ~guards in
+         let random_key () =
+           match Pdb_util.Rng.int rng 8 with
+           | 0 -> "a0"
+           | 1 -> "zz"
+           | _ ->
+             Printf.sprintf "k%02d%d"
+               (1 + Pdb_util.Rng.int rng guards)
+               (Pdb_util.Rng.int rng 10)
+         in
+         let agrees () =
+           let target =
+             if Pdb_util.Rng.int rng 4 = 0 then None
+             else Some (Ik.max_for_lookup (random_key ()))
+           in
+           let upper_user =
+             if Pdb_util.Rng.bool rng then Some (random_key ()) else None
+           in
+           let keys, opened, checks =
+             scan_level ?upper_user env level ~target
+           in
+           let filter, ref_checks, _ =
+             counting_filter ?upper_user ~peek:(fun _ -> None) ()
+           in
+           let ref_keys, ref_opened =
+             reference_walk level ~filter ~entries:!entries ~target
+           in
+           keys = ref_keys && opened = ref_opened && checks = !ref_checks
+         in
+         (* every mutation must invalidate the level's non-empty index *)
+         let mutate () =
+           let g = 1 + Pdb_util.Rng.int rng guards in
+           match Pdb_util.Rng.int rng 4 with
+           | 0 -> add_table [ Printf.sprintf "k%02d7" g ]
+           | 1 -> (
+             match G.all_tables level with
+             | [] -> ()
+             | ms ->
+               let m = List.nth ms (Pdb_util.Rng.int rng (List.length ms)) in
+               G.detach level [ m.T.number ])
+           | 2 -> G.delete_guard level (Printf.sprintf "k%02d0" g)
+           | _ -> G.commit_guards level [ Printf.sprintf "k%02d9z" g ]
+         in
+         let index_agrees () =
+           let guards = level.G.guards in
+           let n = Array.length guards in
+           let rec first i =
+             if i >= n || guards.(i).G.tables <> [] then i else first (i + 1)
+           in
+           List.for_all
+             (fun i -> G.next_nonempty level i = first i)
+             (List.init (n + 1) Fun.id)
+         in
+         List.for_all
+           (fun () ->
+             let ok = agrees () && agrees () && index_agrees () in
+             mutate ();
+             ok)
+           (List.init 8 (fun _ -> ()))
+         && agrees () && index_agrees ()))
+
+(* Runs of empty guards, trailing empty guards, and a bounded scan whose
+   next non-empty guard lies past the upper bound. *)
+let test_level_iter_empty_guard_runs () =
+  let env = Env.create () in
+  let level =
+    make_level env
+      [ (None, [ [ "a"; "b" ] ]); (Some "c", []); (Some "d", []);
+        (Some "e", []); (Some "m", [ [ "m"; "n" ] ]); (Some "p", []);
+        (Some "q", []); (Some "s", [ [ "s"; "t" ] ]); (Some "u", []);
+        (Some "v", []); (Some "w", []) ]
+  in
+  let scan ?upper_user target =
+    let keys, opened, _ =
+      scan_level ?upper_user env level
+        ~target:(Option.map Ik.max_for_lookup target)
+    in
+    (keys, opened)
+  in
+  let expect msg (keys, opened) got =
+    check Alcotest.(pair (list string) int) msg (keys, opened) got
+  in
+  expect "full scan" ([ "a"; "b"; "m"; "n"; "s"; "t" ], 3) (scan None);
+  expect "seek into a run of empties" ([ "m"; "n"; "s"; "t" ], 2)
+    (scan (Some "d"));
+  expect "seek into trailing empties" ([], 0) (scan (Some "v"));
+  expect "bounded: empties, then a guard past the bound"
+    ([ "a"; "b"; "m"; "n" ], 2)
+    (scan ~upper_user:"o" None);
+  expect "bounded: next non-empty guard past the bound" ([ "a"; "b" ], 1)
+    (scan ~upper_user:"c5" (Some "a"));
+  expect "bounded: empties up to the bound" ([ "m"; "n" ], 1)
+    (scan ~upper_user:"r" (Some "d"))
+
 (* ---------- engine iterator with an upper bound ---------- *)
 
 let test_engine_upper_bound () =
@@ -478,6 +671,9 @@ let () =
             test_level_iter_boundary_seeks;
           Alcotest.test_case "level iter upper bound" `Quick
             test_level_iter_upper_bound_stops;
+          Alcotest.test_case "level iter over empty-guard runs" `Quick
+            test_level_iter_empty_guard_runs;
+          prop_level_iter_empty_guards;
           Alcotest.test_case "engine iterator upper bound" `Quick
             test_engine_upper_bound;
         ] );

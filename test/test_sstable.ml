@@ -286,6 +286,40 @@ let test_table_cache_reweigh_on_filter_load () =
   Alcotest.(check bool) "filter now resident" true (Table.filter_resident r1);
   check_accounting "accounted = actual after filter materialises"
 
+(* A reader remembers the file its block cache interned it to; a load
+   through another cache, or after [evict_file] dropped the file, must
+   intern again, so that cache's per-file bookkeeping sees the block. *)
+let test_reader_reinterns () =
+  let env = Pdb_simio.Env.create () in
+  let meta = build_table env ~dir:"db" ~number:21 (sorted_entries 200) in
+  let name = Table.file_name ~dir:"db" 21 in
+  let reader = Table.open_reader env ~dir:"db" meta in
+  let a = Block_cache.create ~capacity:(1 lsl 20)
+  and b = Block_cache.create ~capacity:(1 lsl 20) in
+  let get cache =
+    ignore
+      (Table.get reader ~cache ~hint:Pdb_simio.Device.Random_read
+         (ikey "key00000" 1))
+  in
+  get a;
+  get b;
+  get a;
+  check Alcotest.(list string) "cache a resident" [ name ]
+    (Block_cache.resident_files a);
+  check Alcotest.(list string) "cache b resident" [ name ]
+    (Block_cache.resident_files b);
+  Block_cache.evict_file a ~file:name;
+  check Alcotest.(list string) "a dropped the file" []
+    (Block_cache.resident_files a);
+  check Alcotest.(list string) "b keeps it" [ name ]
+    (Block_cache.resident_files b);
+  get a;
+  check Alcotest.(list string) "reloaded under a fresh intern" [ name ]
+    (Block_cache.resident_files a);
+  check Alcotest.int "the reload missed" 2 (Block_cache.misses a);
+  Block_cache.evict_file a ~file:name;
+  check Alcotest.int "second evict frees every block" 0 (Block_cache.used a)
+
 (* ---------- Level_iter ---------- *)
 
 let test_level_iter_concat_and_seek () =
@@ -624,6 +658,8 @@ let () =
           Alcotest.test_case "byte cache re-weighs on filter load" `Quick
             test_table_cache_reweigh_on_filter_load;
           prop_block_cache_model;
+          Alcotest.test_case "reader re-interns per cache and after evict"
+            `Quick test_reader_reinterns;
         ] );
       ( "level-iter",
         [

@@ -254,38 +254,38 @@ let test_histogram_growth_sort () =
 
 let test_lru_basic () =
   let c = Lru.create ~capacity:10 in
-  Lru.insert c "a" 1 ~weight:4;
-  Lru.insert c "b" 2 ~weight:4;
-  check Alcotest.(option int) "find a" (Some 1) (Lru.find c "a");
-  Lru.insert c "c" 3 ~weight:4;
-  (* "b" was least recently used (a was touched by find) *)
-  check Alcotest.(option int) "b evicted" None (Lru.find c "b");
-  check Alcotest.(option int) "a survives" (Some 1) (Lru.find c "a");
-  check Alcotest.(option int) "c present" (Some 3) (Lru.find c "c")
+  Lru.insert c 1 1 ~weight:4;
+  Lru.insert c 2 2 ~weight:4;
+  check Alcotest.(option int) "find a" (Some 1) (Lru.find c 1);
+  Lru.insert c 3 3 ~weight:4;
+  (* 2 was least recently used (1 was touched by find) *)
+  check Alcotest.(option int) "b evicted" None (Lru.find c 2);
+  check Alcotest.(option int) "a survives" (Some 1) (Lru.find c 1);
+  check Alcotest.(option int) "c present" (Some 3) (Lru.find c 3)
 
 let test_lru_replace () =
   let c = Lru.create ~capacity:10 in
-  Lru.insert c "a" 1 ~weight:4;
-  Lru.insert c "a" 9 ~weight:6;
-  check Alcotest.(option int) "replaced" (Some 9) (Lru.find c "a");
+  Lru.insert c 1 1 ~weight:4;
+  Lru.insert c 1 9 ~weight:6;
+  check Alcotest.(option int) "replaced" (Some 9) (Lru.find c 1);
   check Alcotest.int "used reflects replacement" 6 (Lru.used c)
 
 let test_lru_oversized () =
   let c = Lru.create ~capacity:10 in
-  Lru.insert c "big" 1 ~weight:20;
-  check Alcotest.(option int) "oversized not cached" None (Lru.find c "big")
+  Lru.insert c 100 1 ~weight:20;
+  check Alcotest.(option int) "oversized not cached" None (Lru.find c 100)
 
 let test_lru_remove () =
   let c = Lru.create ~capacity:10 in
-  Lru.insert c "a" 1 ~weight:2;
-  Lru.remove c "a";
-  check Alcotest.(option int) "removed" None (Lru.find c "a");
+  Lru.insert c 1 1 ~weight:2;
+  Lru.remove c 1;
+  check Alcotest.(option int) "removed" None (Lru.find c 1);
   check Alcotest.int "weight released" 0 (Lru.used c)
 
 let test_lru_fold () =
   let c = Lru.create ~capacity:100 in
-  Lru.insert c "a" 1 ~weight:1;
-  Lru.insert c "b" 2 ~weight:1;
+  Lru.insert c 1 1 ~weight:1;
+  Lru.insert c 2 2 ~weight:1;
   let sum = Lru.fold c (fun acc _ v -> acc + v) 0 in
   check Alcotest.int "fold sum" 3 sum
 
@@ -294,11 +294,173 @@ let prop_lru_capacity =
     QCheck.(list (pair small_int small_int))
     (fun ops ->
       let c = Lru.create ~capacity:50 in
-      List.iter
-        (fun (k, w) ->
-          Lru.insert c (string_of_int k) k ~weight:(1 + (w mod 10)))
-        ops;
+      List.iter (fun (k, w) -> Lru.insert c k k ~weight:(1 + (w mod 10))) ops;
       Lru.used c <= 50)
+
+(* Evicted, removed, replaced and cleared values are not kept alive by
+   their freed slots. *)
+let test_lru_releases_values () =
+  let c = Lru.create ~capacity:4 in
+  let w = Weak.create 4 in
+  let[@inline never] insert i k =
+    let v = Bytes.make 16 (Char.chr (65 + i)) in
+    Weak.set w i (Some v);
+    Lru.insert c k v ~weight:1
+  in
+  insert 0 1;
+  insert 1 2;
+  insert 2 3;
+  Lru.remove c 1;
+  insert 3 2 (* replaces key 2 *);
+  for k = 10 to 13 do
+    Lru.insert c k (Bytes.make 16 'z') ~weight:1 (* evicts keys 3 and 2 *)
+  done;
+  Gc.full_major ();
+  List.iter
+    (fun i ->
+      check Alcotest.bool (Printf.sprintf "value %d collected" i) false
+        (Weak.check w i))
+    [ 0; 1; 2; 3 ];
+  check Alcotest.int "still full" 4 (Lru.length c)
+
+(* The LRU against a reference recency list: most recent first, with the
+   admission, eviction and counting rules spelled out on a plain list. *)
+module Lru_model = struct
+  type t = {
+    capacity : int;
+    mutable entries : (int * (int * int)) list; (* key, (value, weight) *)
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let used m = List.fold_left (fun acc (_, (_, w)) -> acc + w) 0 m.entries
+
+  let evict m =
+    while used m > m.capacity do
+      m.entries <- List.filteri (fun i _ -> i < List.length m.entries - 1)
+          m.entries;
+      m.evictions <- m.evictions + 1
+    done
+
+  let insert m k v w =
+    if w <= m.capacity then begin
+      m.entries <- (k, (v, w)) :: List.remove_assoc k m.entries;
+      evict m
+    end
+
+  let find m k =
+    match List.assoc_opt k m.entries with
+    | Some (v, w) ->
+      m.hits <- m.hits + 1;
+      m.entries <- (k, (v, w)) :: List.remove_assoc k m.entries;
+      Some v
+    | None ->
+      m.misses <- m.misses + 1;
+      None
+
+  let update_weight m k w =
+    if List.mem_assoc k m.entries then begin
+      m.entries <-
+        List.map (fun (k', (v, w')) -> (k', (v, if k' = k then w else w')))
+          m.entries;
+      evict m
+    end
+end
+
+type lru_op =
+  | Insert of int * int * int (* key, value, weight *)
+  | Insert_oversized of int * int (* key, weight beyond capacity *)
+  | Find of int
+  | Peek of int
+  | Mem of int
+  | Remove of int
+  | Update_weight of int * int
+  | Clear
+
+(* Keys far apart and near each other, negative and extreme, so probe
+   runs wrap and collide. *)
+let lru_keys =
+  [| 0; 1; 2; 3; 17; 33; -1; -42; max_int; min_int; 1 lsl 32;
+     (1 lsl 32) lor 4096; (2 lsl 32) lor 4096; (7 lsl 32) lor 123456;
+     1 lsl 40; 1 lsl 61; 4096; 8192; 12288; 65536; 1 lsl 20; 999_983;
+     31; 63; 127; 255; 511; 1023; 2047; 4095; 1000; 2000; 3000; 4000;
+     5000; 6000; 7000; 8000; 9000; 10_000 |]
+
+let lru_op_gen =
+  let open QCheck.Gen in
+  let key = map (fun i -> lru_keys.(i)) (int_bound (Array.length lru_keys - 1)) in
+  frequency
+    [ (6, map3 (fun k v w -> Insert (k, v, w)) key small_nat (int_range 0 30));
+      (1, map2 (fun k w -> Insert_oversized (k, w)) key (int_range 1 10));
+      (5, map (fun k -> Find k) key);
+      (2, map (fun k -> Peek k) key);
+      (2, map (fun k -> Mem k) key);
+      (2, map (fun k -> Remove k) key);
+      (2, map2 (fun k w -> Update_weight (k, w)) key (int_range 0 60));
+      (1, return Clear) ]
+
+let show_lru_op = function
+  | Insert (k, v, w) -> Printf.sprintf "insert %d %d w%d" k v w
+  | Insert_oversized (k, w) -> Printf.sprintf "insert-oversized %d +%d" k w
+  | Find k -> Printf.sprintf "find %d" k
+  | Peek k -> Printf.sprintf "peek %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Update_weight (k, w) -> Printf.sprintf "update-weight %d w%d" k w
+  | Clear -> "clear"
+
+let prop_lru_model =
+  qtest ~count:500 "lru = reference recency list"
+    QCheck.(
+      pair (int_range 1 150)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_lru_op ops))
+           Gen.(list_size (1 -- 300) lru_op_gen)))
+    (fun (capacity, ops) ->
+      let c = Lru.create ~capacity in
+      let m =
+        { Lru_model.capacity; entries = []; hits = 0; misses = 0;
+          evictions = 0 }
+      in
+      List.for_all
+        (fun op ->
+          let result_agrees =
+            match op with
+            | Insert (k, v, w) ->
+              Lru.insert c k v ~weight:w;
+              Lru_model.insert m k v w;
+              true
+            | Insert_oversized (k, w) ->
+              Lru.insert c k (-1) ~weight:(capacity + w);
+              Lru_model.insert m k (-1) (capacity + w);
+              true
+            | Find k -> Lru.find c k = Lru_model.find m k
+            | Peek k ->
+              Lru.peek c k = Option.map fst (List.assoc_opt k m.entries)
+            | Mem k -> Lru.mem c k = List.mem_assoc k m.entries
+            | Remove k ->
+              Lru.remove c k;
+              m.entries <- List.remove_assoc k m.entries;
+              true
+            | Update_weight (k, w) ->
+              Lru.update_weight c k ~weight:w;
+              Lru_model.update_weight m k w;
+              true
+            | Clear ->
+              Lru.clear c;
+              m.entries <- [];
+              true
+          in
+          result_agrees
+          && Lru.hits c = m.hits
+          && Lru.misses c = m.misses
+          && Lru.evictions c = m.evictions
+          && Lru.used c = Lru_model.used m
+          && Lru.length c = List.length m.entries
+          && List.rev (Lru.fold c (fun acc k v -> (k, v) :: acc) [])
+             = List.map (fun (k, (v, _)) -> (k, v)) m.entries)
+        ops)
 
 (* ---------- Rng / Dist ---------- *)
 
@@ -429,6 +591,9 @@ let () =
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "fold" `Quick test_lru_fold;
           prop_lru_capacity;
+          prop_lru_model;
+          Alcotest.test_case "freed slots release values" `Quick
+            test_lru_releases_values;
         ] );
       ( "rng-dist",
         [

@@ -241,8 +241,68 @@ let lsm_level_locate () =
   per_entry ~unit:"call" "lsm level locate (1000 files)"
     ~entries:(Array.length probes) ~reps:1000 (fun () ->
       Array.iter
-        (fun key -> ignore (Pdb_lsm.Lsm_store.locate level key))
+        (fun key -> ignore (Pdb_lsm.Level.locate level key))
         probes)
+
+(* lsm compaction bookkeeping: the level work of one leveled compaction
+   from a 1 000-file level into a 2 000-file target, without the merge —
+   the trigger score (file count, bytes), the footprint (the level's
+   user-key span), the round-robin pick, the overlapping target run and
+   the install of the outputs in its place.  The cursor steps through the
+   whole level; every file overlaps three target files, and the outputs
+   replace those three. *)
+let lsm_compaction_bookkeeping () =
+  let module Level = Pdb_lsm.Level in
+  let files = 1000 in
+  let ik k seq =
+    Ik.encode ~user_key:(Printf.sprintf "key%08d" k) ~seq ~kind:Ik.Value
+  in
+  let meta number lo hi =
+    { Table.number; file_size = 32 * 1024; entries = 32;
+      smallest = ik lo 2; largest = ik hi 1 }
+  in
+  let level =
+    Level.of_array
+      (Array.init files (fun f -> meta f (20 * f) ((20 * f) + 15)))
+  in
+  let target =
+    Level.of_array
+      (Array.init (2 * files) (fun g ->
+           meta (files + g) ((10 * g) + 3) ((10 * g) + 12)))
+  in
+  let pointers =
+    Array.init files (fun f ->
+        if f = 0 then ""
+        else Ik.user_key level.Level.files.(f - 1).Table.largest)
+  in
+  (* the outputs of cycle [f]: the consumed target run, renumbered *)
+  let outputs =
+    Array.init files (fun f ->
+        List.filter_map
+          (fun g ->
+            if g < 0 || g >= 2 * files then None
+            else
+              let m = target.Level.files.(g) in
+              Some { m with Table.number = (4 * files) + g })
+          [ (2 * f) - 1; 2 * f; (2 * f) + 1 ])
+  in
+  per_entry ~unit:"cycle" "lsm compaction bookkeeping (1000-file level)"
+    ~entries:files ~reps:50 (fun () ->
+      for f = 0 to files - 1 do
+        ignore (Sys.opaque_identity (Level.length level, level.Level.bytes));
+        ignore (Sys.opaque_identity (Level.span ~sorted:true level));
+        let inputs =
+          Level.pick_round_robin level ~pointer:pointers.(f) ~pick_files:1
+            ~next:target ~next_sorted:true
+        in
+        let smallest, largest = Level.user_range (Array.of_list inputs) in
+        let run = Level.overlapping ~sorted:true target ~smallest ~largest in
+        ignore
+          (Sys.opaque_identity
+             ( Level.replace ~sorted:true level ~removed:inputs ~added:[],
+               Level.replace ~sorted:true target ~removed:run
+                 ~added:outputs.(f) ))
+      done)
 
 let run_bechamel () =
   print_endline "\n#### micro — Bechamel micro-benchmarks (core operations)";
@@ -374,7 +434,8 @@ let run_bechamel () =
   block_cache_evict_file ();
   table_cache_find ();
   lru_ops ();
-  lsm_level_locate ()
+  lsm_level_locate ();
+  lsm_compaction_bookkeeping ()
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -132,7 +132,9 @@ let run_one t (job : Job.t) =
         ~args:
           [
             ("key", job.key);
-            ("bytes", string_of_int job.estimated_bytes);
+            (* the device bytes the job read plus wrote, as in
+               [by_trigger]: a seek job's estimate is 0 *)
+            ("bytes", string_of_int moved);
           ]
         ()
     | None -> ()

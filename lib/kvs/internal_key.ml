@@ -89,6 +89,15 @@ let compare_user ikey u =
   let c = compare_prefix ikey u 0 (if n < m then n else m) in
   if c <> 0 then c else Int.compare n m
 
+(** [compare_users a b] has the sign of [String.compare (user_key a)
+    (user_key b)] for two internal keys, comparing in place. *)
+let compare_users a b =
+  let na = String.length a - trailer_size
+  and nb = String.length b - trailer_size in
+  assert (na >= 0 && nb >= 0);
+  let c = compare_prefix a b 0 (if na < nb then na else nb) in
+  if c <> 0 then c else Int.compare na nb
+
 (** Total order over encoded internal keys: user key ascending, sequence
     descending, kind descending — so the freshest entry for a user key sorts
     first.  Compares both keys in place, without allocating. *)

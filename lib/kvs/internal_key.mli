@@ -33,6 +33,11 @@ val same_user_key : string -> string -> bool
     allocating. *)
 val compare_user : string -> string -> int
 
+(** [compare_users a b] has the sign of
+    [String.compare (user_key a) (user_key b)] for two internal keys,
+    compared in place without allocating. *)
+val compare_users : string -> string -> int
+
 (** Total order: user key ascending, sequence descending, kind descending —
     the freshest entry for a user key sorts first. *)
 val compare : string -> string -> int

@@ -54,12 +54,10 @@ type t = {
   mutable manifest : Manifest.t;
   mutable next_file : int;
   mutable last_seq : int;
-  levels : Table.meta list array;
+  levels : Level.t array;
       (* level 0: newest first (descending file number); levels >= 1:
          leveled layout = ascending by smallest key, disjoint ranges;
          tiered layout = newest first, runs may overlap *)
-  level_arrays : Table.meta array array; (* [levels] as arrays, ... *)
-  level_sources : Table.meta list array; (* ... built from these lists *)
   compact_pointer : string array; (* round-robin pick cursor per level *)
   mutable obsolete : string list; (* files awaiting deletion *)
   snapshots : Pdb_kvs.Snapshots.t;
@@ -80,34 +78,6 @@ let user_range_overlap (m : Table.meta) key =
   Ik.compare_user m.Table.smallest key <= 0
   && Ik.compare_user m.Table.largest key >= 0
 
-(* [level_array t level] is [t.levels.(level)] as an array, rebuilt only
-   when that level's list has been replaced since the last call. *)
-let level_array t level =
-  let files = t.levels.(level) in
-  if files != t.level_sources.(level) then begin
-    t.level_arrays.(level) <- Array.of_list files;
-    t.level_sources.(level) <- files
-  end;
-  t.level_arrays.(level)
-
-(** [locate files key] is the index of the file of a leveled level
-    (sorted by smallest key, disjoint) whose user-key range holds [key],
-    or -1: the first file whose largest user key is >= [key], if its
-    smallest is <= [key] — the first overlapping file, found in
-    O(log n). *)
-let locate (files : Table.meta array) key =
-  let lo = ref 0 and hi = ref (Array.length files) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Ik.compare_user files.(mid).Table.largest key < 0 then lo := mid + 1
-    else hi := mid
-  done;
-  if
-    !lo < Array.length files
-    && Ik.compare_user files.(!lo).Table.smallest key <= 0
-  then !lo
-  else -1
-
 (* ---------- policy-dependent level layout ---------- *)
 
 let last_level opts = opts.O.max_levels - 1
@@ -121,28 +91,19 @@ let tiered_layout ~policy ~opts level =
 
 let tiered_level t level = tiered_layout ~policy:t.policy ~opts:t.opts level
 
-let newest_first (a : Table.meta) (b : Table.meta) =
-  Int.compare b.Table.number a.Table.number
+(* Is [level] one sorted run (disjoint files ascending by smallest key)
+   rather than newest-first (level 0 and tiered levels)? *)
+let sorted_layout ~policy ~opts level =
+  not (level = 0 || tiered_layout ~policy ~opts level)
 
-let by_smallest (a : Table.meta) (b : Table.meta) =
-  Ik.compare a.Table.smallest b.Table.smallest
+let sorted_level t level = sorted_layout ~policy:t.policy ~opts:t.opts level
 
-(* canonical resident order of a level under the active policy: newest
-   first for level 0 and tiered levels, by smallest key for leveled ones *)
-let level_order ~policy ~opts level =
-  if level = 0 || tiered_layout ~policy ~opts level then newest_first
-  else by_smallest
-
-let sort_for_level ~policy ~opts level files =
-  List.sort (level_order ~policy ~opts level) files
-
-(* [install_into_level ~policy ~opts level added resident] is
-   [sort_for_level ~policy ~opts level (added @ resident)] for a
-   [resident] list already in the level's order: the few added files are
-   sorted and merged in, without re-sorting the level. *)
-let install_into_level ~policy ~opts level added resident =
-  let order = level_order ~policy ~opts level in
-  List.merge order (List.sort order added) resident
+(* [replace_files t level ~removed ~added] drops [removed] from [level]
+   and installs [added] in the level's order (see {!Level.replace}). *)
+let replace_files t level ~removed ~added =
+  t.levels.(level) <-
+    Level.replace ~sorted:(sorted_level t level) t.levels.(level) ~removed
+      ~added
 
 (* ---------- obsolete-file garbage collection ---------- *)
 
@@ -177,8 +138,9 @@ let trace_instant t ~name ~cat args =
 
 (* ---------- recovery ---------- *)
 
-(* Replay a list of version edits into mutable local state; shared with the
-   FLSM engine's recovery shape. *)
+(* Replay a list of version edits into mutable local state (each level's
+   files, in edit order until [normalize_levels] sorts them); shared with
+   the FLSM engine's recovery shape. *)
 let apply_edit ~levels ~wal_number ~next_file ~last_seq (e : Manifest.edit) =
   (match e.Manifest.log_number with
    | Some n -> wal_number := n
@@ -189,20 +151,49 @@ let apply_edit ~levels ~wal_number ~next_file ~last_seq (e : Manifest.edit) =
   (match e.Manifest.last_sequence with
    | Some n -> last_seq := max !last_seq n
    | None -> ());
-  List.iter
-    (fun (level, number) ->
-      levels.(level) <-
-        List.filter (fun (m : Table.meta) -> m.Table.number <> number)
-          levels.(level))
-    e.Manifest.deleted_files;
-  List.iter
-    (fun (level, meta) -> levels.(level) <- meta :: levels.(level))
-    e.Manifest.added_files
+  (* an edit naming a level this store does not have is rejected, as
+     indexing it would be *)
+  let known (level, _) =
+    if level < 0 || level >= Array.length levels then
+      invalid_arg "index out of bounds"
+  in
+  List.iter known e.Manifest.deleted_files;
+  List.iter known e.Manifest.added_files;
+  (* per touched level, one pass: drop the deleted numbers, then put the
+     added files in front, the last added first *)
+  Array.iteri
+    (fun level (files : Table.meta array) ->
+      let deleted =
+        List.filter_map
+          (fun (l, number) -> if l = level then Some number else None)
+          e.Manifest.deleted_files
+      and added =
+        List.fold_left
+          (fun acc (l, meta) -> if l = level then meta :: acc else acc)
+          [] e.Manifest.added_files
+      in
+      if deleted <> [] || added <> [] then
+        levels.(level) <-
+          Array.append (Array.of_list added)
+            (if deleted = [] then files
+             else
+               Array.of_list
+                 (List.filter
+                    (fun (m : Table.meta) ->
+                      not (List.mem m.Table.number deleted))
+                    (Array.to_list files))))
+    levels
 
-let normalize_levels ~policy ~opts levels =
-  for i = 0 to Array.length levels - 1 do
-    levels.(i) <- sort_for_level ~policy ~opts i levels.(i)
-  done
+(* The recovered levels, each in its layout's order (a stable sort). *)
+let normalize_levels ~policy ~opts (levels : Table.meta array array) =
+  Array.mapi
+    (fun level files ->
+      let files = Array.copy files in
+      Array.stable_sort
+        (Level.order ~sorted:(sorted_layout ~policy ~opts level))
+        files;
+      Level.of_array files)
+    levels
 
 (* Snapshot the whole state as a single edit (written to a fresh MANIFEST
    on every open, as LevelDB does).  Built from recovery-local components
@@ -212,11 +203,14 @@ let snapshot_edit ~levels ~log_number ~next_file ~last_seq =
   e.Manifest.log_number <- Some log_number;
   e.Manifest.next_file_number <- Some next_file;
   e.Manifest.last_sequence <- Some last_seq;
-  e.Manifest.added_files <-
-    List.concat
-      (List.mapi
-         (fun level files -> List.map (fun m -> (level, m)) (List.rev files))
-         (Array.to_list levels));
+  (* level by level, each level's files last first *)
+  let added = ref [] in
+  for level = Array.length levels - 1 downto 0 do
+    Array.iter
+      (fun m -> added := (level, m) :: !added)
+      levels.(level).Level.files
+  done;
+  e.Manifest.added_files <- !added;
   e
 
 (* Replay the WAL numbered [wal_number] into [mem]; returns the highest
@@ -308,7 +302,7 @@ let rec flush_memtable t =
     let meta = !meta in
     (match meta with
      | Some meta ->
-       t.levels.(0) <- meta :: t.levels.(0);
+       t.levels.(0) <- Level.cons meta t.levels.(0);
        t.stats.Pdb_kvs.Engine_stats.flushes <-
          t.stats.Pdb_kvs.Engine_stats.flushes + 1;
        t.stats.Pdb_kvs.Engine_stats.sstables_built <-
@@ -340,15 +334,13 @@ let rec flush_memtable t =
 
 (* ---------- compaction ---------- *)
 
-and level_bytes t level =
-  List.fold_left (fun acc (m : Table.meta) -> acc + m.Table.file_size) 0
-    t.levels.(level)
+and level_bytes t level = t.levels.(level).Level.bytes
 
 and level_state t level =
   {
     Policy.level;
     last_level = last_level t.opts;
-    files = List.length t.levels.(level);
+    files = Level.length t.levels.(level);
     bytes = level_bytes t level;
     max_bytes = O.level_max_bytes t.opts (max 1 level);
     file_trigger = t.opts.O.l0_compaction_trigger;
@@ -360,7 +352,7 @@ and pick_inputs t level =
   match t.policy.Policy.victims (level_state t level) with
   | Policy.All_files ->
     (* tiering: the whole level merges wholesale into one new run *)
-    t.levels.(level)
+    Array.to_list t.levels.(level).Level.files
   | Policy.Guard_pick ->
     (* guard state lives in the FLSM engine; rejected at open *)
     assert false
@@ -372,9 +364,11 @@ and pick_l0_closure t =
     (* the oldest L0 file plus every L0 file overlapping it (LevelDB's
        rule).  On sequential fills the L0 files are disjoint, so this
        selects a single file and enables the trivial-move fast path. *)
-    match List.rev t.levels.(0) with
-    | [] -> []
-    | oldest :: _ ->
+    let files = t.levels.(0).Level.files in
+    match files with
+    | [||] -> []
+    | _ ->
+      let oldest = files.(Array.length files - 1) in
       let lo = ref (Ik.user_key oldest.Table.smallest)
       and hi = ref (Ik.user_key oldest.Table.largest) in
       (* grow the range transitively over overlapping files *)
@@ -382,7 +376,7 @@ and pick_l0_closure t =
       let selected = ref [ oldest ] in
       while !changed do
         changed := false;
-        List.iter
+        Array.iter
           (fun (m : Table.meta) ->
             if
               not
@@ -390,76 +384,33 @@ and pick_l0_closure t =
                    (fun (s : Table.meta) -> s.Table.number = m.Table.number)
                    !selected)
               && not
-                   (String.compare (Ik.user_key m.Table.largest) !lo < 0
-                    || String.compare (Ik.user_key m.Table.smallest) !hi > 0)
+                   (Ik.compare_user m.Table.largest !lo < 0
+                    || Ik.compare_user m.Table.smallest !hi > 0)
             then begin
               selected := m :: !selected;
-              if String.compare (Ik.user_key m.Table.smallest) !lo < 0 then
+              if Ik.compare_user m.Table.smallest !lo < 0 then
                 lo := Ik.user_key m.Table.smallest;
-              if String.compare (Ik.user_key m.Table.largest) !hi > 0 then
+              if Ik.compare_user m.Table.largest !hi > 0 then
                 hi := Ik.user_key m.Table.largest;
               changed := true
             end)
-          t.levels.(0)
+          files
       done;
       !selected
   end
 
 and pick_round_robin t level =
-  begin
-    (* round-robin: first [compaction_pick_files] files after the pointer *)
-    let files = t.levels.(level) in
-    let after =
-      List.filter
-        (fun (m : Table.meta) ->
-          String.compare
-            (Ik.user_key m.Table.largest)
-            t.compact_pointer.(level)
-          > 0)
-        files
-    in
-    let pool = if after = [] then files else after in
-    (* a first pick that overlaps nothing below is a trivial move; widening
-       it to [compaction_pick_files] would throw the fast path away *)
-    (match pool with
-     | first :: _
-       when overlapping_files t (level + 1)
-              ~smallest:(Ik.user_key first.Table.smallest)
-              ~largest:(Ik.user_key first.Table.largest)
-            = [] ->
-       [ first ]
-     | _ ->
-       let rec take n = function
-         | [] -> []
-         | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-       in
-       take t.opts.O.compaction_pick_files pool)
-  end
+  (* round-robin: first [compaction_pick_files] files after the pointer *)
+  Level.pick_round_robin t.levels.(level) ~pointer:t.compact_pointer.(level)
+    ~pick_files:t.opts.O.compaction_pick_files
+    ~next:t.levels.(level + 1)
+    ~next_sorted:(sorted_level t (level + 1))
 
 and overlapping_files t level ~smallest ~largest =
-  List.filter
-    (fun (m : Table.meta) ->
-      not
-        (String.compare (Ik.user_key m.Table.largest) smallest < 0
-         || String.compare (Ik.user_key m.Table.smallest) largest > 0))
-    t.levels.(level)
+  Level.overlapping ~sorted:(sorted_level t level) t.levels.(level) ~smallest
+    ~largest
 
-and input_user_range inputs =
-  let smallest =
-    List.fold_left
-      (fun acc (m : Table.meta) ->
-        let s = Ik.user_key m.Table.smallest in
-        if acc = "" || String.compare s acc < 0 then s else acc)
-      "" inputs
-  in
-  let largest =
-    List.fold_left
-      (fun acc (m : Table.meta) ->
-        let l = Ik.user_key m.Table.largest in
-        if String.compare l acc > 0 then l else acc)
-      "" inputs
-  in
-  (smallest, largest)
+and input_user_range inputs = Level.user_range (Array.of_list inputs)
 
 (* Merge [inputs_lo] (level) and [inputs_hi] (level+1) into new tables for
    level+1.  Runs inside the background lane.
@@ -550,18 +501,12 @@ and run_merge t ~inputs_lo ~inputs_hi ~drop_tombstones ~single_output =
 
 and install_compaction t ~level ~inputs_lo ~inputs_hi ~outputs =
   let target = level + 1 in
-  (* update in-memory levels *)
+  (* update in-memory levels: on a leveled target the outputs replace the
+     consumed run in one splice *)
   let in_lo = List.map (fun (m : Table.meta) -> m.Table.number) inputs_lo in
   let in_hi = List.map (fun (m : Table.meta) -> m.Table.number) inputs_hi in
-  t.levels.(level) <-
-    List.filter
-      (fun (m : Table.meta) -> not (List.mem m.Table.number in_lo))
-      t.levels.(level);
-  t.levels.(target) <-
-    install_into_level ~policy:t.policy ~opts:t.opts target outputs
-      (List.filter
-         (fun (m : Table.meta) -> not (List.mem m.Table.number in_hi))
-         t.levels.(target));
+  replace_files t level ~removed:inputs_lo ~added:[];
+  replace_files t target ~removed:inputs_hi ~added:outputs;
   (* manifest edit *)
   let e = Manifest.empty_edit () in
   e.Manifest.next_file_number <- Some t.next_file;
@@ -577,15 +522,15 @@ and install_compaction t ~level ~inputs_lo ~inputs_hi ~outputs =
       t.obsolete <- Table.file_name ~dir:t.dir m.Table.number :: t.obsolete)
     (inputs_lo @ inputs_hi);
   (* stats *)
-  let bytes_of = List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0 in
   let st = t.stats in
   st.Pdb_kvs.Engine_stats.compactions <-
     st.Pdb_kvs.Engine_stats.compactions + 1;
   st.Pdb_kvs.Engine_stats.compaction_bytes_read <-
     st.Pdb_kvs.Engine_stats.compaction_bytes_read
-    + bytes_of inputs_lo + bytes_of inputs_hi;
+    + Level.bytes_of_list inputs_lo + Level.bytes_of_list inputs_hi;
   st.Pdb_kvs.Engine_stats.compaction_bytes_written <-
-    st.Pdb_kvs.Engine_stats.compaction_bytes_written + bytes_of outputs;
+    st.Pdb_kvs.Engine_stats.compaction_bytes_written
+    + Level.bytes_of_list outputs;
   st.Pdb_kvs.Engine_stats.sstables_built <-
     st.Pdb_kvs.Engine_stats.sstables_built + List.length outputs
 
@@ -613,13 +558,8 @@ and compact_level t level =
          beats FLSM (§5.2 "Sequential Writes").  Safe under tiering too:
          whole-level victims make the single run the entire source level,
          so it is newer than every run already resident in the target. *)
-      t.levels.(level) <-
-        List.filter
-          (fun (m : Table.meta) -> m.Table.number <> single.Table.number)
-          t.levels.(level);
-      t.levels.(target) <-
-        install_into_level ~policy:t.policy ~opts:t.opts target [ single ]
-          t.levels.(target);
+      replace_files t level ~removed:[ single ] ~added:[];
+      replace_files t target ~removed:[] ~added:[ single ];
       let e = Manifest.empty_edit () in
       e.Manifest.deleted_files <- [ (level, single.Table.number) ];
       e.Manifest.added_files <- [ (target, single) ];
@@ -641,16 +581,39 @@ and compact_level t level =
    leveled compactions span wide ranges, which is exactly why they
    serialise on the worker timelines where FLSM's guard jobs overlap. *)
 and level_footprint t level =
-  match t.levels.(level) with
-  | [] -> Sched.full_range ~level_lo:level ~level_hi:(level + 1)
-  | files ->
-    let smallest, largest = input_user_range files in
+  let lv = t.levels.(level) in
+  if Level.is_empty lv then
+    Sched.full_range ~level_lo:level ~level_hi:(level + 1)
+  else
+    let smallest, largest = Level.span ~sorted:(sorted_level t level) lv in
     {
       Sched.level_lo = level;
       level_hi = level + 1;
       key_lo = smallest;
       key_hi = Some (largest ^ "\x00") (* inclusive -> exclusive bound *);
     }
+
+(* The bytes a level's job is booked at in the scheduler's backlog: for a
+   round-robin level, the victim and the target run it overlaps, as the
+   job will pick them unless an earlier job in its round moves them;
+   otherwise (level 0, whole-level victims) the whole level. *)
+and job_bytes t level =
+  match t.policy.Policy.victims (level_state t level) with
+  | Policy.Round_robin when level > 0 ->
+    let inputs = pick_round_robin t level in
+    let target = level + 1 in
+    let overlapped =
+      if
+        inputs <> []
+        && t.policy.Policy.output_merges_target ~target
+             ~last_level:(last_level t.opts)
+      then
+        let smallest, largest = input_user_range inputs in
+        Level.bytes_of_list (overlapping_files t target ~smallest ~largest)
+      else 0
+    in
+    Level.bytes_of_list inputs + overlapped
+  | _ -> level_bytes t level
 
 and submit_level_job t ~blocked level =
   let trigger = if level = 0 then Job.L0_files else Job.Level_size in
@@ -659,7 +622,7 @@ and submit_level_job t ~blocked level =
        {
          Job.key = Printf.sprintf "%s:%d" (Job.trigger_name trigger) level;
          trigger;
-         estimated_bytes = level_bytes t level;
+         estimated_bytes = job_bytes t level;
          footprint = level_footprint t level;
          run =
            (fun () ->
@@ -687,7 +650,7 @@ and maybe_compact t =
       then begin
         submit_level_job t ~blocked level;
         submitted :=
-          (level, (List.length t.levels.(level), level_bytes t level))
+          (level, (Level.length t.levels.(level), level_bytes t level))
           :: !submitted
       end
     done;
@@ -695,7 +658,7 @@ and maybe_compact t =
       Scheduler.drain t.sched;
       List.iter
         (fun (level, before) ->
-          let now = (List.length t.levels.(level), level_bytes t level) in
+          let now = (Level.length t.levels.(level), level_bytes t level) in
           if now = before then Hashtbl.replace blocked level ())
         !submitted;
       continue_ := true
@@ -713,14 +676,13 @@ let open_store ?block_cache (opts : O.t) ~env ~dir =
    | O.Leveled | O.Tiered | O.Lazy_leveled -> ());
   let policy = Policy.of_options opts in
   (* recover the previous shape before touching any file *)
-  let levels = Array.make opts.O.max_levels [] in
+  let levels = Array.make opts.O.max_levels [||] in
   let wal_number = ref 0 and next_file = ref 1 and last_seq = ref 0 in
   let mem = Pdb_kvs.Memtable.create () in
   let wal_report = ref None in
   (match Manifest.recover env ~dir with
    | Some (_, edits) ->
      List.iter (apply_edit ~levels ~wal_number ~next_file ~last_seq) edits;
-     normalize_levels ~policy ~opts levels;
      let seq, report =
        replay_wal env ~dir ~wal_number:!wal_number ~mem ~last_seq:!last_seq
      in
@@ -733,6 +695,7 @@ let open_store ?block_cache (opts : O.t) ~env ~dir =
      then (3) retire the replayed WAL and any stale files.  An injected
      crash between any two steps recovers to the same state: until CURRENT
      flips, the old MANIFEST still names the old WAL. *)
+  let levels = normalize_levels ~policy ~opts levels in
   let new_log = !next_file in
   incr next_file;
   let manifest_number = !next_file in
@@ -781,8 +744,6 @@ let open_store ?block_cache (opts : O.t) ~env ~dir =
       next_file = !next_file;
       last_seq = !last_seq;
       levels;
-      level_arrays = Array.make opts.O.max_levels [||];
-      level_sources = Array.make opts.O.max_levels [];
       compact_pointer = Array.make opts.O.max_levels "";
       obsolete = [];
       snapshots = Pdb_kvs.Snapshots.create ();
@@ -889,7 +850,7 @@ let write_group t batches =
              record would overcharge the batch it rode in on) *)
           let debt =
             {
-              Bp.l0_files = List.length t.levels.(0);
+              Bp.l0_files = Level.length t.levels.(0);
               pending_jobs = Scheduler.pending t.sched;
               backlog_bytes = Scheduler.backlog_bytes t.sched;
             }
@@ -1039,22 +1000,22 @@ let get ?snapshot t key =
         in
         (* level 0 and tiered levels: every overlapping file, newest
            first; first hit wins *)
-        let rec search_overlapping = function
-          | [] -> ()
-          | (m : Table.meta) :: rest ->
-            if not_found !result then begin
-              if user_range_overlap m key then probe m;
-              search_overlapping rest
-            end
+        let search_overlapping (files : Table.meta array) =
+          let i = ref 0 in
+          while not_found !result && !i < Array.length files do
+            let m = files.(!i) in
+            if user_range_overlap m key then probe m;
+            incr i
+          done
         in
-        search_overlapping t.levels.(0);
+        search_overlapping t.levels.(0).Level.files;
         (* deeper levels: leveled layout has at most one candidate file *)
         let level = ref 1 in
         while not_found !result && !level < t.opts.O.max_levels do
-          (if tiered_level t !level then search_overlapping t.levels.(!level)
+          let files = t.levels.(!level).Level.files in
+          (if tiered_level t !level then search_overlapping files
            else
-             let files = level_array t !level in
-             let i = locate files key in
+             let i = Level.locate files key in
              if i >= 0 then probe files.(i));
           incr level
         done;
@@ -1100,22 +1061,22 @@ let internal_iterator ?upper_user t =
           Pdb_simio.Probe.measure t.probe (fun () -> it.Iter.seek_to_first ()));
     }
   in
-  let l0_iters = List.map file_iter t.levels.(0) in
+  let l0_iters = List.map file_iter (Array.to_list t.levels.(0).Level.files) in
   let level_iters =
     List.concat_map
       (fun level ->
-        match t.levels.(level) with
-        | [] -> []
+        match t.levels.(level).Level.files with
+        | [||] -> []
         | files ->
           if tiered_level t level then
             (* overlapping runs need independent cursors; the merging
                iterator resolves versions by sequence number *)
-            List.map file_iter files
+            List.map file_iter (Array.to_list files)
           else
             [
               Pdb_sstable.Level_iter.create ~filter ~probe:t.probe
                 ~cache:t.table_cache ~block_cache:t.block_cache
-                ~hint:Device.Random_read ~on_table (level_array t level);
+                ~hint:Device.Random_read ~on_table files;
             ])
       (List.init (t.opts.O.max_levels - 1) (fun i -> i + 1))
   in
@@ -1132,7 +1093,7 @@ let note_seek t =
     t.consecutive_seeks <- t.consecutive_seeks + 1;
     if
       t.consecutive_seeks >= t.opts.O.seek_compaction_threshold
-      && t.levels.(0) <> []
+      && not (Level.is_empty t.levels.(0))
     then begin
       t.consecutive_seeks <- 0;
       ignore
@@ -1199,15 +1160,11 @@ let compact_all t =
   (* push every populated level into the next, top-down, as LevelDB's
      manual CompactRange does *)
   for level = 0 to t.opts.O.max_levels - 2 do
-    while t.levels.(level) <> [] do
-      let inputs_lo = t.levels.(level) in
+    while not (Level.is_empty t.levels.(level)) do
+      let inputs_lo = Array.to_list t.levels.(level).Level.files in
       let smallest, largest = input_user_range inputs_lo in
       let inputs_hi = overlapping_files t (level + 1) ~smallest ~largest in
-      let bytes =
-        List.fold_left
-          (fun a (m : Table.meta) -> a + m.Table.file_size)
-          0 (inputs_lo @ inputs_hi)
-      in
+      let bytes = Level.bytes_of_list (inputs_lo @ inputs_hi) in
       Scheduler.run_now t.sched
         {
           Job.key = Printf.sprintf "manual:%d" level;
@@ -1240,72 +1197,55 @@ let describe t =
     (Printf.sprintf "lsm store (%s, policy=%s)\n" t.opts.O.name
        t.policy.Policy.name);
   Array.iteri
-    (fun level files ->
-      if files <> [] then begin
+    (fun level (lv : Level.t) ->
+      if not (Level.is_empty lv) then begin
         Buffer.add_string buf
           (Printf.sprintf "  level %d (%d files, %d bytes):\n" level
-             (List.length files) (level_bytes t level));
-        List.iter
+             (Level.length lv) lv.Level.bytes);
+        Array.iter
           (fun (m : Table.meta) ->
             Buffer.add_string buf
               (Printf.sprintf "    #%d [%s .. %s] %dB\n" m.Table.number
                  (Ik.user_key m.Table.smallest)
                  (Ik.user_key m.Table.largest)
                  m.Table.file_size))
-          files
+          lv.Level.files
       end)
     t.levels;
   Buffer.contents buf
 
 let check_invariants t =
-  (* L0 ordered newest-first by file number *)
-  let rec check_l0 = function
-    | (a : Table.meta) :: (b : Table.meta) :: rest ->
-      if a.Table.number <= b.Table.number then
-        failwith "lsm invariant: L0 not newest-first";
-      check_l0 (b :: rest)
-    | [ _ ] | [] -> ()
-  in
-  check_l0 t.levels.(0);
-  (* levels >= 1: leveled layout = sorted and disjoint; tiered layout =
-     newest-first (recency order, the property reads rely on) *)
-  for level = 1 to t.opts.O.max_levels - 1 do
-    if tiered_level t level then begin
-      let rec check = function
-        | (a : Table.meta) :: (b : Table.meta) :: rest ->
-          if a.Table.number <= b.Table.number then
-            failwith
-              (Printf.sprintf
-                 "lsm invariant: tiered level %d not newest-first" level);
-          check (b :: rest)
-        | [ _ ] | [] -> ()
+  (* L0 newest-first by file number; levels >= 1: leveled layout = sorted
+     and disjoint, tiered layout = newest-first (recency order, the
+     property reads rely on); every level's byte total current *)
+  Array.iteri
+    (fun level lv ->
+      let what =
+        if level = 0 then "L0"
+        else if tiered_level t level then Printf.sprintf "tiered level %d" level
+        else Printf.sprintf "level %d" level
       in
-      check t.levels.(level)
-    end
-    else begin
-      let rec check = function
-        | (a : Table.meta) :: (b : Table.meta) :: rest ->
-          if Ik.compare a.Table.largest b.Table.smallest >= 0 then
-            failwith
-              (Printf.sprintf "lsm invariant: level %d files overlap" level);
-          check (b :: rest)
-        | [ _ ] | [] -> ()
-      in
-      check t.levels.(level)
-    end
-  done;
+      Level.check ~sorted:(sorted_level t level) ~what lv)
+    t.levels;
   (* every listed file exists *)
   Array.iter
-    (List.iter (fun (m : Table.meta) ->
-         if not (Env.exists t.env (Table.file_name ~dir:t.dir m.Table.number))
-         then failwith "lsm invariant: missing sstable file"))
+    (fun lv ->
+      Array.iter
+        (fun (m : Table.meta) ->
+          if not (Env.exists t.env (Table.file_name ~dir:t.dir m.Table.number))
+          then failwith "lsm invariant: missing sstable file")
+        lv.Level.files)
     t.levels
 
 (* number of files per level, for tests and experiments *)
-let level_file_counts t = Array.map List.length t.levels
+let level_file_counts t = Array.map Level.length t.levels
 let level_sizes t = Array.init t.opts.O.max_levels (level_bytes t)
-let sstable_metas t = Array.to_list t.levels |> List.concat
+
+let sstable_metas t =
+  List.concat_map
+    (fun lv -> Array.to_list lv.Level.files)
+    (Array.to_list t.levels)
 
 (* resident tables of one level, in search order (tests) *)
-let level_tables t level = t.levels.(level)
+let level_tables t level = Array.to_list t.levels.(level).Level.files
 let policy t = t.policy

@@ -288,8 +288,15 @@ let prop_compare_user =
       let ikey =
         Internal_key.encode ~user_key:a ~seq ~kind:Internal_key.Value
       in
+      (* and [compare_users] against an internal key of [u] at another
+         sequence number *)
+      let ukey =
+        Internal_key.encode ~user_key:u ~seq:(seq + 1)
+          ~kind:Internal_key.Deletion
+      in
       sign (Internal_key.compare_user ikey u)
-      = sign (String.compare (Internal_key.user_key ikey) u))
+      = sign (String.compare (Internal_key.user_key ikey) u)
+      && sign (Internal_key.compare_users ikey ukey) = sign (String.compare a u))
 
 (* ---------- Db_iter ---------- *)
 

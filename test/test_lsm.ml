@@ -365,6 +365,7 @@ let prop_recovery_equals_pre_close =
 
 module Ik = Pdb_kvs.Internal_key
 module Table = Pdb_sstable.Table
+module Level = Pdb_lsm.Level
 
 (* A sorted, disjoint level: the distinct internal keys of [versions]
    ((user key, seq) pairs), in order, cut into files of [sizes] entries.
@@ -377,7 +378,8 @@ let level_of versions sizes =
          versions)
   in
   let file number keys =
-    { Table.number; file_size = 0; entries = List.length keys;
+    { Table.number; file_size = (7 * List.length keys) + number;
+      entries = List.length keys;
       smallest = List.hd keys; largest = List.nth keys (List.length keys - 1) }
   in
   let rec cut n keys sizes acc =
@@ -418,7 +420,7 @@ let prop_locate_matches_linear =
       List.for_all
         (fun key ->
           let expected = reference_locate files key in
-          let i = L.locate arr key in
+          let i = Level.locate arr key in
           match expected with
           | None -> i = -1
           | Some m -> i >= 0 && arr.(i) == m)
@@ -434,41 +436,343 @@ let test_locate_shared_boundary () =
     [| meta 1 (ik "a" 1) (ik "k" 9); meta 2 (ik "k" 5) (ik "k" 3);
        meta 3 (ik "k" 2) (ik "m" 1) |]
   in
-  check Alcotest.int "shared key -> first holder" 0 (L.locate files "k");
-  check Alcotest.int "inside first" 0 (L.locate files "b");
-  check Alcotest.int "inside last" 2 (L.locate files "l");
-  check Alcotest.int "past the end" (-1) (L.locate files "z");
-  check Alcotest.int "before the start" (-1) (L.locate files "");
-  check Alcotest.int "empty level" (-1) (L.locate [||] "k")
+  check Alcotest.int "shared key -> first holder" 0 (Level.locate files "k");
+  check Alcotest.int "inside first" 0 (Level.locate files "b");
+  check Alcotest.int "inside last" 2 (Level.locate files "l");
+  check Alcotest.int "past the end" (-1) (Level.locate files "z");
+  check Alcotest.int "before the start" (-1) (Level.locate files "");
+  check Alcotest.int "empty level" (-1) (Level.locate [||] "k")
 
-(* Installing added files into a resident level by merge gives the order
-   a full re-sort would: for level 0 (newest first) and for a leveled and
-   a tiered level 1.  File numbers are distinct; smallest keys may tie. *)
+(* Installing added files into a resident level gives the order a full
+   re-sort would: for level 0 (newest first) and for a leveled and a
+   tiered level 1.  File numbers are distinct; smallest keys may tie, so
+   the added files may not fit one gap of a sorted level. *)
 let prop_install_merges_like_sort =
   let meta (number, u) =
-    { Table.number; file_size = 0; entries = 1;
+    { Table.number; file_size = number; entries = 1;
       smallest = Ik.encode ~user_key:u ~seq:1 ~kind:Ik.Value;
       largest = Ik.encode ~user_key:u ~seq:1 ~kind:Ik.Value }
   in
   let user =
     QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 3))
   in
-  qtest "install_into_level = sort_for_level (added @ resident)" ~count:300
+  qtest "Level.replace = sort (added @ resident)" ~count:300
     QCheck.(
       triple
         (make Gen.(list_size (0 -- 30) user))
         (make Gen.(0 -- 6))
         (make Gen.(oneofl [ (0, O.Leveled); (1, O.Leveled); (1, O.Tiered) ])))
     (fun (users, added_count, (level, policy_kind)) ->
-      let opts = { (O.leveldb ()) with O.compaction_policy = policy_kind } in
-      let policy = Pdb_compaction.Policy.of_options opts in
+      let sorted = level > 0 && policy_kind = O.Leveled in
+      let order = Level.order ~sorted in
       let files = List.mapi (fun i u -> meta (i + 1, u)) users in
       let added = List.filteri (fun i _ -> i < added_count) files
       and rest = List.filteri (fun i _ -> i >= added_count) files in
-      let resident = L.sort_for_level ~policy ~opts level rest in
+      let resident = Level.of_array (Array.of_list (List.sort order rest)) in
+      let installed = Level.replace ~sorted resident ~removed:[] ~added in
       let numbers = List.map (fun (m : Table.meta) -> m.Table.number) in
-      numbers (L.install_into_level ~policy ~opts level added resident)
-      = numbers (L.sort_for_level ~policy ~opts level (added @ resident)))
+      numbers (Array.to_list installed.Level.files)
+      = numbers
+          (List.stable_sort order (added @ Array.to_list resident.Level.files))
+      && installed.Level.bytes = Level.bytes_of_list files)
+
+(* ---------- level arrays against the list code they replaced ---------- *)
+
+(* The list-based level operations the sorted arrays replaced, kept as the
+   reference: every array operation must give the same files, in the same
+   order, and the same byte totals. *)
+module Ref = struct
+  let order ~sorted =
+    if sorted then fun (a : Table.meta) (b : Table.meta) ->
+      Ik.compare a.Table.smallest b.Table.smallest
+    else fun (a : Table.meta) (b : Table.meta) ->
+      Int.compare b.Table.number a.Table.number
+
+  let overlapping files ~smallest ~largest =
+    List.filter
+      (fun (m : Table.meta) ->
+        not
+          (String.compare (Ik.user_key m.Table.largest) smallest < 0
+           || String.compare (Ik.user_key m.Table.smallest) largest > 0))
+      files
+
+  (* the union range; an empty smallest user key is a bound like any
+     other (the fold this replaced let the next file's key override it,
+     so a pick holding the empty key missed overlapping target files) *)
+  let user_range = function
+    | [] -> ("", "")
+    | (m : Table.meta) :: _ as inputs ->
+      List.fold_left
+        (fun (lo, hi) (m : Table.meta) ->
+          let s = Ik.user_key m.Table.smallest
+          and l = Ik.user_key m.Table.largest in
+          ( (if String.compare s lo < 0 then s else lo),
+            if String.compare l hi > 0 then l else hi ))
+        (Ik.user_key m.Table.smallest, Ik.user_key m.Table.largest)
+        inputs
+
+  let pick files ~pointer ~pick_files ~next =
+    let after =
+      List.filter
+        (fun (m : Table.meta) ->
+          String.compare (Ik.user_key m.Table.largest) pointer > 0)
+        files
+    in
+    let pool = if after = [] then files else after in
+    match pool with
+    | first :: _
+      when overlapping next
+             ~smallest:(Ik.user_key first.Table.smallest)
+             ~largest:(Ik.user_key first.Table.largest)
+           = [] ->
+      [ first ]
+    | _ ->
+      let rec take n = function
+        | [] -> []
+        | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
+      in
+      take pick_files pool
+
+  let replace ~sorted files ~removed ~added =
+    let order = order ~sorted in
+    let gone = List.map (fun (m : Table.meta) -> m.Table.number) removed in
+    List.merge order (List.sort order added)
+      (List.filter (fun (m : Table.meta) -> not (List.mem m.Table.number gone))
+         files)
+
+  let bytes = List.fold_left (fun a (m : Table.meta) -> a + m.Table.file_size) 0
+end
+
+let numbers files = List.map (fun (m : Table.meta) -> m.Table.number) files
+let level_list (lv : Level.t) = Array.to_list lv.Level.files
+
+(* [lv] holds exactly [reference], in order, with a current byte total and
+   in its layout's order (the per-level check of [check_invariants]). *)
+let same_level ~sorted (lv : Level.t) reference =
+  Level.check ~sorted ~what:"test level" lv;
+  numbers (level_list lv) = numbers reference
+  && lv.Level.bytes = Ref.bytes reference
+
+let version_gen =
+  QCheck.Gen.(
+    pair (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'd' ]) (0 -- 3)) (0 -- 5))
+
+(* Outputs of a merge of [inputs]: their boundary keys, in order, cut into
+   files of [1 + out_size] keys numbered from [!next_number]. *)
+let outputs_of ~next_number ~out_size inputs =
+  let keys =
+    List.sort_uniq Ik.compare
+      (List.concat_map
+         (fun (m : Table.meta) -> [ m.Table.smallest; m.Table.largest ])
+         inputs)
+  in
+  let rec cut = function
+    | [] -> []
+    | keys ->
+      let chunk = List.filteri (fun i _ -> i <= out_size) keys in
+      let rest = List.filteri (fun i _ -> i > out_size) keys in
+      incr next_number;
+      let meta =
+        {
+          Table.number = !next_number;
+          file_size = (10 * List.length chunk) + 1;
+          entries = List.length chunk;
+          smallest = List.hd chunk;
+          largest = List.nth chunk (List.length chunk - 1);
+        }
+      in
+      meta :: cut rest
+  in
+  cut keys
+
+(* Round-robin compactions between two leveled levels, on the arrays and
+   on the reference lists side by side: each step picks (wrapping the
+   cursor, or a single-file trivial move), finds the overlapping target
+   run, and installs outputs cut from the inputs' boundary keys in its
+   place.  The two levels share a key universe, so boundary user keys are
+   shared within and across levels; either level may start empty. *)
+let prop_leveled_steps =
+  let pointer_gen =
+    QCheck.Gen.(
+      opt (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'd'; 'z' ]) (0 -- 3)))
+  in
+  qtest "leveled pick/overlap/install = list reference" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          tup5
+            (list_size (0 -- 40) (pair version_gen bool))
+            (list_size (0 -- 20) (0 -- 3))
+            (1 -- 3)
+            (list_size (1 -- 8) pointer_gen)
+            (0 -- 2)))
+    (fun (versions, sizes, pick_files, pointers, out_size) ->
+      (* each internal key lives in one file of one level *)
+      let versions =
+        List.sort_uniq (fun (a, _) (b, _) -> compare a b) versions
+      in
+      let keys upper =
+        List.filter_map (fun (v, b) -> if b = upper then Some v else None)
+          versions
+      in
+      let up_list = ref (level_of (keys true) sizes)
+      and low_list =
+        ref
+          (List.map
+             (fun (m : Table.meta) ->
+               { m with Table.number = m.Table.number + 1000 })
+             (level_of (keys false) (List.rev sizes)))
+      in
+      let up = ref (Level.of_array (Array.of_list !up_list))
+      and low = ref (Level.of_array (Array.of_list !low_list)) in
+      let next_number = ref 5000 and pointer = ref "" in
+      let agree what ok =
+        if not ok then QCheck.Test.fail_reportf "%s differs" what
+      in
+      List.iter
+        (fun p ->
+          Option.iter (fun p -> pointer := p) p;
+          let picked =
+            Level.pick_round_robin !up ~pointer:!pointer ~pick_files
+              ~next:!low ~next_sorted:true
+          and ref_picked =
+            Ref.pick !up_list ~pointer:!pointer ~pick_files ~next:!low_list
+          in
+          agree "pick" (numbers picked = numbers ref_picked);
+          if picked <> [] then begin
+            let smallest, largest = Level.user_range (Array.of_list picked) in
+            agree "user range"
+              ((smallest, largest) = Ref.user_range ref_picked);
+            let run = Level.overlapping ~sorted:true !low ~smallest ~largest
+            and ref_run = Ref.overlapping !low_list ~smallest ~largest in
+            agree "overlap" (numbers run = numbers ref_run);
+            let lo, hi = Level.overlap_range !low ~smallest ~largest in
+            agree "overlap bytes"
+              (Level.bytes_in !low ~lo ~hi = Ref.bytes ref_run);
+            let outputs =
+              match (picked, run) with
+              | [ single ], [] -> [ single ]
+              | _ -> outputs_of ~next_number ~out_size (picked @ run)
+            in
+            up := Level.replace ~sorted:true !up ~removed:picked ~added:[];
+            up_list :=
+              Ref.replace ~sorted:true !up_list ~removed:ref_picked ~added:[];
+            low := Level.replace ~sorted:true !low ~removed:run ~added:outputs;
+            low_list :=
+              Ref.replace ~sorted:true !low_list ~removed:ref_run
+                ~added:outputs;
+            agree "source level" (same_level ~sorted:true !up !up_list);
+            agree "target level" (same_level ~sorted:true !low !low_list);
+            agree "source span"
+              (Level.span ~sorted:true !up = Ref.user_range !up_list);
+            agree "target span"
+              (Level.span ~sorted:true !low = Ref.user_range !low_list);
+            pointer := largest
+          end)
+        pointers;
+      true)
+
+(* Level 0 and tiered levels: newest-first files with arbitrary, possibly
+   overlapping ranges.  Overlap, span and install (removing any subset,
+   adding files numbered above, below or between the residents) match the
+   reference; a flush puts its table in front. *)
+let prop_newest_first_levels =
+  let user =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (0 -- 3))
+  in
+  qtest "newest-first overlap/span/install = list reference" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          tup4
+            (list_size (0 -- 12) (triple user user bool))
+            (list_size (0 -- 4) (pair user user))
+            (pair user user) (0 -- 99)))
+    (fun (files, added, (q1, q2), flush_seq) ->
+      let ordered a b = if String.compare a b <= 0 then (a, b) else (b, a) in
+      let meta number (a, b) =
+        let a, b = ordered a b in
+        {
+          Table.number;
+          file_size = (3 * number) + 1;
+          entries = 2;
+          smallest = Ik.encode ~user_key:a ~seq:number ~kind:Ik.Value;
+          largest = Ik.encode ~user_key:b ~seq:number ~kind:Ik.Value;
+        }
+      in
+      (* even numbers resident, odd ones added: they interleave *)
+      let n = List.length files in
+      let resident =
+        List.mapi (fun i (a, b, _) -> meta (2 * (n - i)) (a, b)) files
+      in
+      let removed =
+        List.filteri (fun i _ -> let _, _, gone = List.nth files i in gone)
+          resident
+      in
+      let added = List.mapi (fun i ab -> meta ((2 * i) + 1) ab) added in
+      let lv = Level.of_array (Array.of_list resident) in
+      let smallest, largest = ordered q1 q2 in
+      let installed = Level.replace ~sorted:false lv ~removed ~added in
+      let reference = Ref.replace ~sorted:false resident ~removed ~added in
+      let flushed = meta (1000 + flush_seq) (q1, q2) in
+      same_level ~sorted:false lv resident
+      && numbers (Level.overlapping ~sorted:false lv ~smallest ~largest)
+         = numbers (Ref.overlapping resident ~smallest ~largest)
+      && Level.span ~sorted:false lv = Ref.user_range resident
+      && same_level ~sorted:false installed reference
+      && same_level ~sorted:false
+           (Level.cons flushed installed)
+           (flushed :: reference))
+
+(* An empty user key is a key like any other: a compaction whose inputs
+   hold it must consume every target file it overlaps, or the leveled
+   levels stop being disjoint and a get of the key can read a stale
+   version. *)
+let test_empty_user_key () =
+  let env = Env.create () in
+  let db = open_tiny env in
+  let rng = Random.State.make [| 3 |] in
+  let latest = ref "" in
+  for i = 0 to 3000 do
+    let k = if i mod 7 = 0 then "" else key (Random.State.int rng 400) in
+    let v = value i in
+    L.put db k v;
+    if k = "" then latest := v;
+    L.check_invariants db;
+    check Alcotest.(option string) "empty key" (Some !latest) (L.get db "")
+  done
+
+(* Store-level: under every policy of this engine, random writes keep
+   [check_invariants] (layout order and byte totals, per level) after
+   every write, and a reopen recovers the same files in the same order. *)
+let prop_policies_keep_levels =
+  qtest "policies: invariants per write, levels survive reopen" ~count:12
+    QCheck.(
+      pair
+        (make Gen.(oneofl [ O.Leveled; O.Tiered; O.Lazy_leveled ]))
+        (list (pair (int_bound 300) (option (int_bound 1000)))))
+    (fun (policy, ops) ->
+      let opts =
+        { (tiny_opts ()) with O.compaction_policy = policy; max_levels = 4 }
+      in
+      let env = Env.create () in
+      let db = open_tiny ~opts env in
+      List.iter
+        (fun (k, v) ->
+          (match v with
+           | Some v -> L.put db (key k) (value v)
+           | None -> L.delete db (key k));
+          L.check_invariants db)
+        ops;
+      let layout db =
+        List.init 4 (fun level -> numbers (L.level_tables db level))
+      in
+      let sizes = L.level_sizes db in
+      let before = layout db in
+      L.close db;
+      let db2 = open_tiny ~opts env in
+      L.check_invariants db2;
+      layout db2 = before && L.level_sizes db2 = sizes)
 
 let () =
   Alcotest.run "lsm"
@@ -531,4 +835,11 @@ let () =
           prop_locate_matches_linear;
         ] );
       ("install", [ prop_install_merges_like_sort ]);
+      ( "level-array",
+        [
+          prop_leveled_steps;
+          prop_newest_first_levels;
+          prop_policies_keep_levels;
+          Alcotest.test_case "empty user key" `Quick test_empty_user_key;
+        ] );
     ]
